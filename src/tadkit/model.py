@@ -1,6 +1,7 @@
 """Anchor-based 1D detection network over snippet score sequences.
 
-A stack of base layers reduces a (T_w, D) window by a factor of 16, then
+A stack of base layers reduces a (T_w, D) window (or a (B, T_w, D) stack
+of windows, run as one graph) by a factor of 16, then
 three stride-2 anchor convolutions produce feature maps of length T_w/32,
 T_w/64 and T_w/128. Each map cell carries a set of anchor segments of
 fixed aspect ratios; a linear prediction convolution emits, per anchor,
@@ -13,6 +14,7 @@ reshape of the prediction map — downstream code relies on that alignment.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -35,6 +37,7 @@ from .tensor import (
     relu,
     reshape,
     sigmoid,
+    take,
 )
 
 CHECKPOINT_MAGIC = b"SSADCKPT"
@@ -267,7 +270,8 @@ class AnchorPrediction:
 
 @dataclass
 class DecodedAnchors:
-    """Batch decode of every anchor in a window, as graph tensors."""
+    """Batch decode of every anchor in a window, as graph tensors. Decoding
+    a (B, T_w, D) stack adds a leading window axis to every field."""
 
     class_logits: Tensor  # (N, K+1)
     overlap: Tensor       # (N,) sigmoid-normalized
@@ -275,7 +279,14 @@ class DecodedAnchors:
     widths: Tensor        # (N,)
 
     def __len__(self):
-        return self.overlap.data.shape[0]
+        return self.overlap.data.shape[-1]
+
+    def window(self, b) -> "DecodedAnchors":
+        """Window ``b`` of a stacked decode, as differentiable views."""
+        return DecodedAnchors(
+            take(self.class_logits, b), take(self.overlap, b),
+            take(self.centers, b), take(self.widths, b),
+        )
 
 
 def _scalar_sigmoid(x):
@@ -304,12 +315,17 @@ class Network:
     """Builds parameters from a seed and runs the forward/decode pass."""
 
     def __init__(self, config: NetworkConfig, seed=0):
+        rng = np.random.default_rng(seed)
+        self._build(config, lambda name, shape: xavier_init(shape, rng))
+
+    def _build(self, config, init):
+        """Lay out the network; ``init(name, shape)`` supplies each
+        parameter's values, in declaration order."""
         self.config = config
         self._params = []
-        rng = np.random.default_rng(seed)
 
         def param(name, shape):
-            p = Parameter(xavier_init(shape, rng), name=name)
+            p = Parameter(init(name, shape), name=name)
             self._params.append(p)
             return p
 
@@ -364,14 +380,16 @@ class Network:
         return self._anchor_widths
 
     def forward(self, features):
-        """Run one window through the network.
+        """Run one (T_w, D) window, or a (B, T_w, D) stack of windows,
+        through the network.
 
         Returns one tensor per anchor map, reshaped to (cells * ratios,
-        head_width + 3) with rows in anchor order.
+        head_width + 3) with rows in anchor order, behind the stack's
+        leading window axis when there is one.
         """
         x = as_tensor(features)
         want = (self.config.window_length, self.config.feature_dim)
-        if x.data.shape != want:
+        if x.data.shape[-2:] != want or x.data.ndim not in (2, 3):
             raise UsageError(f"expected features of shape {want}, got {x.data.shape}")
         for op in self.base_ops:
             if op[0] == "conv":
@@ -385,25 +403,31 @@ class Network:
         for f, (ak, ab, pk, pb) in enumerate(self.heads):
             x = relu(conv1d(x, ak, ab, stride=2, padding="same"))
             raw = conv1d(x, pk, pb, stride=1, padding="same")
-            m, width = raw.data.shape
-            outputs.append(reshape(raw, (m * (width // cols), cols)))
+            *lead, m, width = raw.data.shape
+            outputs.append(reshape(raw, (*lead, m * (width // cols), cols)))
         return outputs
 
     def decode(self, features) -> DecodedAnchors:
         """Forward plus anchor decoding, all differentiable.
 
-        Centers/widths stay in window-normalized coordinates and are not
-        clipped here; clipping happens only on final video-level output.
+        Takes one (T_w, D) window or a (B, T_w, D) stack; a stack decodes
+        as one graph whose fields have a leading window axis (see
+        ``DecodedAnchors.window``). Centers/widths stay in window-normalized
+        coordinates and are not clipped here; clipping happens only on
+        final video-level output.
         """
         cfg = self.config
-        raw = concat(self.forward(features), axis=0)
+        outputs = self.forward(features)
+        raw = concat(outputs, axis=outputs[0].data.ndim - 2)
         kp = cfg.head_width
-        logits = raw[:, :kp]
-        overlap = sigmoid(raw[:, kp])
-        d_center = raw[:, kp + 1]
-        d_width = clip(raw[:, kp + 2], -cfg.delta_clamp, cfg.delta_clamp)
-        centers = mul(d_center, cfg.center_scale * self._anchor_widths) + self._anchor_centers
-        widths = mul(exp(mul(d_width, cfg.width_scale)), self._anchor_widths)
+        logits = raw[..., :kp]
+        overlap = sigmoid(raw[..., kp])
+        d_center = raw[..., kp + 1]
+        d_width = clip(raw[..., kp + 2], -cfg.delta_clamp, cfg.delta_clamp)
+        anchor_widths = np.broadcast_to(self._anchor_widths, d_center.shape)
+        anchor_centers = np.broadcast_to(self._anchor_centers, d_center.shape)
+        centers = mul(d_center, cfg.center_scale * anchor_widths) + anchor_centers
+        widths = mul(exp(mul(d_width, cfg.width_scale)), anchor_widths)
         return DecodedAnchors(logits, overlap, centers, widths)
 
 
@@ -456,17 +480,22 @@ def load_checkpoint(path) -> Network:
         config = NetworkConfig.from_dict(config_doc)
     except ConfigError as exc:
         raise DataError(f"{path}: invalid network config ({exc})") from exc
-    network = Network(config, seed=0)
-    for p in network.parameters:
+
+    def read_parameter(expected, shape):
         (name_len,) = struct.unpack("<H", take(2, "parameter name length"))
         name = take(name_len, "parameter name").decode("utf-8")
-        if name != p.name:
-            fail(f"expected parameter {p.name!r}, found {name!r}")
+        if name != expected:
+            fail(f"expected parameter {expected!r}, found {name!r}")
         (count,) = struct.unpack("<I", take(4, "parameter count"))
-        if count != p.data.size:
-            fail(f"parameter {name!r} has {count} values, expected {p.data.size}")
+        size = math.prod(shape)
+        if count != size:
+            fail(f"parameter {name!r} has {count} values, expected {size}")
         raw = take(count * 8, f"values of {name!r}")
-        p.data[...] = np.frombuffer(raw, dtype="<f8").reshape(p.data.shape)
+        return np.frombuffer(raw, dtype="<f8").astype(DTYPE).reshape(shape)
+
+    # the parameters come straight from the file, with no initialisation
+    network = Network.__new__(Network)
+    network._build(config, read_parameter)
     if pos != len(payload):
         fail(f"{len(payload) - pos} trailing bytes")
     return network

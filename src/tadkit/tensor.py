@@ -3,6 +3,8 @@
 Covers exactly the operations the detection network needs: 1D convolution
 and max pooling over (time, channels) arrays, the usual activations, and
 the handful of elementwise/reduction ops that the losses are built from.
+Convolution and pooling also take a leading batch axis, (batch, time,
+channels), so a stack of windows runs as one graph with one GEMM per pass.
 Everything is float64 and numpy-backed; forward passes are pure functions
 of their inputs.
 """
@@ -12,6 +14,7 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, UsageError
 
@@ -53,9 +56,13 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
     def _accumulate(self, g):
+        # The first gradient is adopted as is. It may be a view of another
+        # node's gradient (reshape, take, concat) or shared with a sibling
+        # (add), so every later sum is out of place.
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.asarray(g, dtype=DTYPE)
+        else:
+            self.grad = self.grad + g
 
     def backward(self):
         """Backpropagate from a scalar through the recorded graph."""
@@ -213,11 +220,14 @@ def reciprocal(a) -> Tensor:
 
 def exp(a) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(np.exp(a.data), parents=(a,))
+    e = np.exp(a.data)
+    out = Tensor(e, parents=(a,))
 
+    # closures keep the output array, not the output tensor: a tensor whose
+    # backward refers to itself is a reference cycle that holds the graph
     def backward_fn(g):
         if a.requires_grad:
-            a._accumulate(out.data * g)
+            a._accumulate(e * g)
 
     out._backward_fn = backward_fn
     return out
@@ -365,11 +375,12 @@ def sigmoid(a) -> Tensor:
     s[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     e = np.exp(x[~pos])
     s[~pos] = e / (1.0 + e)
-    out = Tensor(s.reshape(a.data.shape), parents=(a,))
+    s = s.reshape(a.data.shape)
+    out = Tensor(s, parents=(a,))
 
     def backward_fn(g):
         if a.requires_grad:
-            a._accumulate(g * out.data * (1.0 - out.data))
+            a._accumulate(g * s * (1.0 - s))
 
     out._backward_fn = backward_fn
     return out
@@ -386,8 +397,8 @@ def softmax(a, axis=-1) -> Tensor:
 
     def backward_fn(g):
         if a.requires_grad:
-            dot = (g * out.data).sum(axis=axis, keepdims=True)
-            a._accumulate(out.data * (g - dot))
+            dot = (g * s).sum(axis=axis, keepdims=True)
+            a._accumulate(s * (g - dot))
 
     out._backward_fn = backward_fn
     return out
@@ -417,19 +428,52 @@ def _same_padding(length, kernel, stride):
     return out_len, left, pad - left
 
 
+def _batched(x, name, what):
+    """(B, T, C) data of a (T, C) or (B, T, C) input, plus whether the
+    input had the batch axis."""
+    if x.data.ndim == 2:
+        return x.data[None], False
+    if x.data.ndim == 3:
+        return x.data, True
+    raise ConfigError(f"{name} expects {what}, got {x.data.shape}")
+
+
+def _pad_time(data, left, right, fill):
+    if left == right == 0:
+        return data
+    b, t, c = data.shape
+    padded = np.full((b, left + t + right, c), fill, dtype=DTYPE)
+    padded[:, left:left + t] = data
+    return padded
+
+
+def _im2col(padded, kernel_size, stride, out_len):
+    """(B * out_len, K * C) rows; row (b, i) holds the K input rows that
+    output i of window b sees, tap-major like a (K, C, C_out) kernel."""
+    b, _, c = padded.shape
+    view = sliding_window_view(padded, kernel_size, axis=1)  # (B, L, C, K)
+    view = view[:, : stride * (out_len - 1) + 1 : stride]
+    return view.transpose(0, 1, 3, 2).reshape(b * out_len, kernel_size * c)
+
+
 def conv1d(x, kernel, bias, stride=1, padding="same") -> Tensor:
-    """Temporal cross-correlation of a (T, C_in) input with a (K, C_in, C_out) kernel.
+    """Temporal cross-correlation of a (T, C_in) or (B, T, C_in) input with
+    a (K, C_in, C_out) kernel; the output keeps the input's batch axis.
 
     Same padding is symmetric zeros with the extra zero on the right;
-    output length is ceil(T / stride).
+    output length is ceil(T / stride). Each pass is one GEMM over all
+    B * T_out output rows (im2col); the im2col matrix is rebuilt in the
+    backward pass rather than kept in the graph.
     """
     x, kernel, bias = as_tensor(x), as_tensor(kernel), as_tensor(bias)
-    if x.data.ndim != 2 or kernel.data.ndim != 3:
+    what = "(T, C_in) or (B, T, C_in) input"
+    if kernel.data.ndim != 3:
         raise ConfigError(
-            f"conv1d expects (T, C_in) input and (K, C_in, C_out) kernel, "
+            f"conv1d expects {what} and (K, C_in, C_out) kernel, "
             f"got {x.data.shape} and {kernel.data.shape}"
         )
-    T, c_in = x.data.shape
+    xb, batched = _batched(x, "conv1d", what)
+    B, T, c_in = xb.shape
     K, kc_in, c_out = kernel.data.shape
     if K < 1:
         raise ConfigError("conv1d kernel size must be >= 1")
@@ -449,60 +493,70 @@ def conv1d(x, kernel, bias, stride=1, padding="same") -> Tensor:
     else:
         raise ConfigError(f"unknown padding mode {padding!r}")
 
-    padded = np.zeros((left + T + right, c_in), dtype=DTYPE)
-    padded[left:left + T] = x.data
-    out_data = np.tile(bias.data, (out_len, 1))
-    for j in range(K):
-        out_data += padded[j:j + stride * out_len:stride] @ kernel.data[j]
-    out = Tensor(out_data, parents=(x, kernel, bias))
+    def columns():
+        return _im2col(_pad_time(xb, left, right, 0.0), K, stride, out_len)
+
+    weights = kernel.data.reshape(K * c_in, c_out)
+    out_data = columns() @ weights
+    out_data += bias.data
+    out_shape = (B, out_len, c_out) if batched else (out_len, c_out)
+    out = Tensor(out_data.reshape(out_shape), parents=(x, kernel, bias))
 
     def backward_fn(g):
+        g = g.reshape(B * out_len, c_out)
         if bias.requires_grad:
             bias._accumulate(g.sum(axis=0))
         if kernel.requires_grad:
-            kg = np.empty_like(kernel.data)
-            for j in range(K):
-                kg[j] = padded[j:j + stride * out_len:stride].T @ g
-            kernel._accumulate(kg)
+            kernel._accumulate((columns().T @ g).reshape(K, c_in, c_out))
         if x.requires_grad:
-            pg = np.zeros_like(padded)
+            dcols = (g @ weights.T).reshape(B, out_len, K, c_in)
+            pg = np.zeros((B, left + T + right, c_in), dtype=DTYPE)
             for j in range(K):
-                pg[j:j + stride * out_len:stride] += g @ kernel.data[j].T
-            x._accumulate(pg[left:left + T])
+                pg[:, j:j + stride * out_len:stride] += dcols[:, :, j]
+            x._accumulate(pg[:, left:left + T].reshape(x.data.shape))
 
     out._backward_fn = backward_fn
     return out
 
 
 def maxpool1d(x, window, stride) -> Tensor:
-    """Per-channel windowed max with same padding (-inf fill).
+    """Per-channel windowed max over a (T, C) or (B, T, C) input, with same
+    padding (-inf fill); the output keeps the input's batch axis.
 
     Output length is ceil(T / stride); the gradient routes to the first
     maximum inside each window.
     """
     x = as_tensor(x)
-    if x.data.ndim != 2 or x.data.shape[0] == 0:
-        raise ConfigError(f"maxpool1d expects a nonempty (T, C) input, got {x.data.shape}")
+    what = "a nonempty (T, C) or (B, T, C) input"
+    xb, batched = _batched(x, "maxpool1d", what)
+    if xb.shape[1] == 0:
+        raise ConfigError(f"maxpool1d expects {what}, got {x.data.shape}")
     if window < 1:
         raise ConfigError(f"maxpool1d window must be >= 1, got {window}")
     if stride < 1:
         raise ConfigError(f"maxpool1d stride must be >= 1, got {stride}")
-    T, C = x.data.shape
+    B, T, C = xb.shape
     out_len, left, right = _same_padding(T, window, stride)
-    padded = np.full((left + T + right, C), -np.inf, dtype=DTYPE)
-    padded[left:left + T] = x.data
-    stacked = np.stack(
-        [padded[j:j + stride * out_len:stride] for j in range(window)], axis=1
-    )  # (out_len, window, C)
-    arg = stacked.argmax(axis=1)  # first max wins ties
-    out = Tensor(stacked.max(axis=1), parents=(x,))
+    padded = _pad_time(xb, left, right, -np.inf)
+    taps = [padded[:, j:j + stride * out_len:stride] for j in range(window)]
+    # running max over the taps; the backward masks each tap against it
+    best = taps[0].copy()
+    for tap in taps[1:]:
+        np.maximum(best, tap, out=best)
+    out = Tensor(best if batched else best[0], parents=(x,))
 
     def backward_fn(g):
         if x.requires_grad:
+            g = g.reshape(best.shape)
             pg = np.zeros_like(padded)
-            rows = np.arange(out_len)[:, None] * stride + arg
-            np.add.at(pg, (rows, np.arange(C)[None, :]), g)
-            x._accumulate(pg[left:left + T])
+            # a window routes to its first tap equal to the max, so the
+            # first max wins ties
+            open_ = np.ones(best.shape, dtype=bool)
+            for j, tap in enumerate(taps):
+                hit = open_ & (tap == best)
+                pg[:, j:j + stride * out_len:stride] += g * hit
+                open_ &= ~hit
+            x._accumulate(pg[:, left:left + T].reshape(x.data.shape))
 
     out._backward_fn = backward_fn
     return out

@@ -3,8 +3,9 @@
 Anchor assignments depend only on the default geometry and the window's
 targets, so they are computed once up front. Each epoch reshuffles the
 windows and re-mines negatives (mining depends on current predictions).
-Given the same windows, seed and config, two runs produce bit-identical
-checkpoints.
+Each minibatch is decoded as one stacked graph and then mined and pooled
+window by window. Given the same windows, seed and config, two runs
+produce bit-identical checkpoints.
 """
 
 from __future__ import annotations
@@ -175,7 +176,8 @@ def train(windows, network: Network, config: TrainConfig, out_dir=None, log_path
             for lo in range(0, len(order), config.batch_size):
                 chunk = order[lo:lo + config.batch_size]
                 adam.zero_grad()
-                decoded = [network.decode(windows[i].features) for i in chunk]
+                stacked = network.decode(np.stack([windows[i].features for i in chunk]))
+                decoded = [stacked.window(b) for b in range(len(chunk))]
                 batch = build_training_batch(decoded, [matches[i] for i in chunk], mine_rng)
                 try:
                     loss, parts = total_loss(batch, config.weights, network.parameters)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import tadkit.model
 from tadkit.errors import ConfigError, DataError, UsageError
 from tadkit.model import (
     BASE_ARCHITECTURES,
@@ -148,6 +149,19 @@ class TestNetworkForward:
         assert decoded.overlap.data.shape == (n,)
         assert len(decoded) == n
 
+    def test_decode_of_a_stack_matches_each_window(self):
+        net = Network(small_config(), seed=3)
+        x = np.random.default_rng(4).uniform(size=(3, 128, 6))
+        stacked = net.decode(x)
+        assert stacked.overlap.data.shape == (3, net.num_anchors)
+        assert len(stacked) == net.num_anchors
+        for b in range(3):
+            single = net.decode(x[b])
+            view = stacked.window(b)
+            for field in ("class_logits", "overlap", "centers", "widths"):
+                expect = getattr(single, field).data
+                assert_allclose(getattr(view, field).data, expect, rtol=1e-12, atol=1e-12)
+
     def test_architectures_differ_in_parameter_count(self):
         counts = {
             name: Network(small_config(base_arch=name), seed=0).num_parameters
@@ -177,6 +191,21 @@ class TestCheckpoint:
         after = load_checkpoint(path).decode(x)
         assert np.array_equal(before.centers.data, after.centers.data)
         assert np.array_equal(before.class_logits.data, after.class_logits.data)
+
+    def test_load_reads_parameters_without_initialising(self, tmp_path, monkeypatch):
+        net = Network(small_config(), seed=3)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(net, path)
+
+        def no_init(*args, **kwargs):
+            raise AssertionError("load_checkpoint initialised parameters")
+
+        monkeypatch.setattr(tadkit.model, "xavier_init", no_init)
+        back = load_checkpoint(path)
+        for pa, pb in zip(net.parameters, back.parameters):
+            assert pa.name == pb.name
+            assert np.array_equal(pa.data, pb.data)
+            assert pb.data.flags.writeable
 
     def test_save_is_deterministic(self, tmp_path):
         net = Network(small_config(), seed=3)

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -6,6 +8,7 @@ from tadkit.errors import ConfigError, UsageError
 from tadkit.tensor import (
     Parameter,
     Tensor,
+    add,
     as_tensor,
     clip,
     concat,
@@ -247,6 +250,112 @@ class TestMaxPool1d:
     def test_rejects_empty_input(self):
         with pytest.raises(ConfigError):
             maxpool1d(Tensor(np.zeros((0, 2))), 2, 2)
+
+
+class TestBatchAxis:
+    """(B, T, C) inputs give, window for window, what (T, C) inputs give."""
+
+    @pytest.mark.parametrize(
+        "stride,padding", [(1, "same"), (2, "same"), (1, "valid"), (2, "valid")]
+    )
+    def test_conv_matches_direct_loops_per_window(self, stride, padding):
+        rng = np.random.default_rng(43)
+        x = rng.normal(size=(3, 20, 3))
+        kernel = rng.normal(size=(5, 3, 4))
+        bias = rng.normal(size=4)
+        out = conv1d(Tensor(x), Tensor(kernel), Tensor(bias), stride=stride, padding=padding)
+        expect = np.stack([direct_conv1d(w, kernel, bias, stride, padding) for w in x])
+        assert out.data.shape == expect.shape
+        assert_allclose(out.data, expect, rtol=1e-12)
+
+    def test_maxpool_matches_direct_loops_per_window(self):
+        rng = np.random.default_rng(10)
+        for t, w, s in [(16, 2, 2), (15, 3, 2), (9, 4, 3), (5, 2, 1)]:
+            x = rng.normal(size=(3, t, 4))
+            out = maxpool1d(Tensor(x), w, s)
+            expect = np.stack([direct_maxpool1d(win, w, s)[0] for win in x])
+            assert_allclose(out.data, expect, rtol=1e-12)
+
+    def test_maxpool_ties_route_to_first_max_per_window(self):
+        x = Parameter(np.array([[[2.0], [2.0], [1.0], [2.0]],
+                                [[1.0], [3.0], [3.0], [3.0]]]), name="x")
+        tsum(maxpool1d(x, 2, 2)).backward()
+        assert_allclose(x.grad, [[[1.0], [0.0], [0.0], [1.0]],
+                                 [[0.0], [1.0], [1.0], [0.0]]])
+
+    def test_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(8)
+        x0 = rng.normal(size=(2, 12, 2))
+        k0 = rng.normal(size=(3, 2, 3))
+        b0 = rng.normal(size=3)
+        weights = rng.normal(size=(2, 3, 3))
+
+        def direct(xv, kv, bv):
+            return np.stack(
+                [direct_maxpool1d(direct_conv1d(w, kv, bv, 2, "same"), 3, 2)[0] for w in xv]
+            )
+
+        x = Parameter(x0.copy(), name="x")
+        k = Parameter(k0.copy(), name="k")
+        b = Parameter(b0.copy(), name="b")
+        loss = tsum(mul(maxpool1d(conv1d(x, k, b, stride=2), 3, 2), weights))
+        loss.backward()
+
+        def loss_of(part):
+            def f(v):
+                parts = {"x": x0, "k": k0, "b": b0, part: v}
+                return float((direct(parts["x"], parts["k"], parts["b"]) * weights).sum())
+
+            return f
+
+        assert_allclose(x.grad, numeric_gradient(loss_of("x"), x0.copy()), atol=1e-6)
+        assert_allclose(k.grad, numeric_gradient(loss_of("k"), k0.copy()), atol=1e-6)
+        assert_allclose(b.grad, numeric_gradient(loss_of("b"), b0.copy()), atol=1e-6)
+
+    def test_rejects_other_ranks(self):
+        with pytest.raises(ConfigError):
+            conv1d(Tensor(np.zeros(8)), Tensor(np.zeros((3, 1, 1))), Tensor(np.zeros(1)))
+        with pytest.raises(ConfigError):
+            maxpool1d(Tensor(np.zeros((1, 2, 8, 1))), 2, 2)
+        with pytest.raises(ConfigError):
+            maxpool1d(Tensor(np.zeros((2, 0, 3))), 2, 2)
+
+
+class TestGradientAccumulation:
+    def test_add_of_a_tensor_with_itself(self):
+        x = Parameter(np.array([1.0, -2.0, 3.0]), name="x")
+        w = np.array([0.5, 2.0, -1.0])
+        y = add(x, x)
+        loss = tsum(mul(y, w))
+        loss.backward()
+        assert_allclose(x.grad, 2 * w)
+        # add hands the same upstream array to both parents
+        assert_allclose(y.grad, w)
+
+    def test_concat_of_overlapping_slices(self):
+        x = Parameter(np.arange(6.0), name="x")
+        w = np.arange(1.0, 10.0)
+        head = x[0:3]
+        c = concat([head, x[1:4], head])
+        loss = tsum(mul(c, w))
+        loss.backward()
+        assert_allclose(head.grad, [1 + 7, 2 + 8, 3 + 9])
+        assert_allclose(x.grad, [8.0, 10 + 4, 12 + 5, 6, 0, 0])
+        # head first adopted a view of the concat's gradient; it stays intact
+        assert_allclose(c.grad, w)
+
+
+class TestNoReferenceCycles:
+    @pytest.mark.parametrize("op", [exp, sigmoid, softmax])
+    def test_graph_is_freed_by_reference_counting(self, op):
+        gc.collect()
+        gc.disable()
+        try:
+            out = op(Tensor(np.ones(4), requires_grad=True))
+            del out
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestGraph:

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from tadkit.data import SynthConfig, slide_windows, synth_generate
+from tadkit.data import SynthConfig, shuffle_training_set, slide_windows, synth_generate
 from tadkit.errors import NumericError, UsageError
 from tadkit.losses import LossWeights, total_loss
 from tadkit.matching import match_anchors
 from tadkit.model import Network, NetworkConfig, load_checkpoint
-from tadkit.training import TrainConfig, build_training_batch, train
+from tadkit.training import TrainConfig, _epoch_seeds, build_training_batch, train
 
 
 def tiny_dataset(seed=0, videos=4):
@@ -60,6 +60,28 @@ class TestBatchAssembly:
         for p in net.parameters:
             assert p.grad is not None, p.name
             assert np.any(p.grad != 0), p.name
+
+
+class TestStackedMinibatch:
+    def test_one_minibatch_matches_per_window_decoding(self):
+        windows = tiny_dataset()[:4]
+        config = TrainConfig(epochs=1, learning_rate=1e-3, batch_size=4, seed=3)
+
+        # the minibatch as per-window graphs, mined in the order train uses
+        net = tiny_network(seed=5)
+        shuffle_seed, mine_seed = _epoch_seeds(config.seed, 1)
+        order = shuffle_training_set(list(range(len(windows))), shuffle_seed)
+        decoded = [net.decode(windows[i].features) for i in order]
+        matches = [match_anchors(net.anchors, windows[i].targets) for i in order]
+        batch = build_training_batch(decoded, matches, np.random.default_rng(mine_seed))
+        _, parts = total_loss(batch, config.weights, net.parameters)
+
+        stats = train(windows, tiny_network(seed=5), config).history[0]
+        got = (stats.total, stats.classification, stats.overlap, stats.location, stats.l2)
+        expect = (parts["total"], parts["class"], parts["overlap"], parts["location"],
+                  parts["l2"])
+        assert_allclose(got, expect, rtol=1e-12, atol=1e-12)
+        assert stats.num_positives == batch.num_positives
 
 
 class TestTrainLoop:
