@@ -49,14 +49,17 @@ print("fresh network, max width ratio:      ",
       f"{np.exp(np.abs(np.log(widths / defaults_w))).max():.4f}")
 
 # Offsets move an anchor deliberately: +1 center unit shifts by 10% of the
-# anchor width, and width offsets act multiplicatively through exp.
-from tadkit.model import decode_anchor
-
-anchor = network.anchors[0]
+# anchor width, and width offsets act multiplicatively through exp.  Zero
+# prediction kernels make every anchor's raw output equal to the bias, so
+# the bias sets the offsets the network decodes.
 raw = np.zeros(config.head_width + 3)
 raw[-2] = 1.0        # center offset
 raw[-1] = np.log(2.0) / 0.1   # width offset chosen to double the width
-moved = decode_anchor(anchor, raw)
+for p in network.parameters:
+    if p.name.startswith("pred."):
+        p.data[...] = 0.0 if p.name.endswith(".kernel") else np.tile(raw, p.data.size // raw.size)
+moved = network.decode(features)
+anchor = network.anchors[0]
 print(f"\nanchor   center {anchor.center:.4f} width {anchor.width:.4f}")
-print(f"decoded  center {moved.center:.4f} width {moved.width:.4f} "
-      f"overlap {moved.overlap:.2f}")
+print(f"decoded  center {moved.centers.data[0]:.4f} width {moved.widths.data[0]:.4f} "
+      f"overlap {moved.overlap.data[0]:.2f}")

@@ -8,7 +8,7 @@ and the surviving detections are scored with IoU-thresholded average
 precision, the standard detection metric.
 """
 
-from tadkit import Detection, average_precision, iou_1d, nms
+from tadkit import Detection, average_precision, nms, segment_iou_matrix
 
 # Three overlapping detections of the same category plus one of another.
 detections = [
@@ -18,7 +18,7 @@ detections = [
     Detection("vid", 11.0, 49.0, category=2, confidence=0.6),   # other category
 ]
 print("IoU of the two duplicates:",
-      round(iou_1d((10.0, 50.0), (12.0, 48.0)), 4))
+      round(segment_iou_matrix([10.0], [50.0], [12.0], [48.0])[0, 0], 4))
 
 # The duplicate is suppressed; the category-2 detection survives untouched
 # because suppression never crosses category boundaries.

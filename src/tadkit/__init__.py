@@ -49,17 +49,14 @@ from .losses import (
     overlap_loss,
     total_loss,
 )
-from .matching import MatchedAnchor, hard_negative_mine, iou_1d, match_anchors
+from .matching import MatchedAnchor, hard_negative_mine, match_anchors, segment_iou_matrix
 from .model import (
     BASE_ARCHITECTURES,
     Anchor,
-    AnchorPrediction,
     LayerSpec,
     Network,
     NetworkConfig,
     anchor_grid,
-    build_network,
-    decode_anchor,
     load_checkpoint,
     save_checkpoint,
 )

@@ -273,6 +273,22 @@ def _plant_rows(rows, active_index, score_level, rng):
     rows[:, active_index] = rng.uniform(score_level - 0.05, score_level + 0.05, size=n)
 
 
+def _fit_lengths(t_v, lengths, config: SynthConfig):
+    """Make drawn instance lengths that overrun the drawn video fit it,
+    without a redraw: the video grows to hold the minimum instance count
+    at the minimum length (the config guarantees the longest video can),
+    instances that cannot fit at the minimum length are dropped, and the
+    rest shrink toward the minimum length in proportion to their excess."""
+    shortest = config.min_instance_length
+    t_v = max(t_v, config.min_instances * shortest)
+    lengths = lengths[:t_v // shortest]
+    excess = lengths - shortest
+    room = t_v - shortest * len(lengths)
+    if excess.sum() > room:
+        lengths = shortest + excess * room // excess.sum()
+    return t_v, lengths
+
+
 def synth_generate(config: SynthConfig, seed):
     """Generate score sequences with planted instances and exact annotations.
 
@@ -291,12 +307,10 @@ def synth_generate(config: SynthConfig, seed):
         lengths = rng.integers(
             config.min_instance_length, config.max_instance_length + 1, size=n_inst
         )
+        if lengths.sum() > t_v:
+            t_v, lengths = _fit_lengths(t_v, lengths, config)
+        n_inst = len(lengths)
         slack = t_v - int(lengths.sum())
-        if slack < 0:
-            raise DataError(
-                f"impossible placement: {n_inst} instances of total length "
-                f"{int(lengths.sum())} exceed video length {t_v}"
-            )
         gaps = rng.multinomial(slack, [1.0 / (n_inst + 1)] * (n_inst + 1))
         categories = rng.integers(1, config.num_classes + 1, size=n_inst)
 

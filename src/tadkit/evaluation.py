@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .matching import segment_iou_matrix
 
 INTERPOLATIONS = ("allpoint", "11point")
 
@@ -32,25 +33,21 @@ def _match(predictions, ground_truths, threshold):
         key=lambda i: (-predictions[i].confidence, predictions[i].start, i),
     )
     by_video = {}
-    for g, (video_id, start, end) in enumerate(ground_truths):
-        by_video.setdefault(video_id, []).append((g, start, end))
-    matched = set()
+    for video_id, start, end in ground_truths:
+        by_video.setdefault(video_id, []).append((start, end))
+    by_video = {v: np.array(segs, dtype=float).T for v, segs in by_video.items()}
+    matched = {v: np.zeros(segs.shape[1], dtype=bool) for v, segs in by_video.items()}
     flags = np.zeros(len(predictions), dtype=bool)
     for rank, i in enumerate(order):
         det = predictions[i]
-        best_iou, best_g = 0.0, None
-        for g, start, end in by_video.get(det.video_id, ()):
-            if g in matched:
-                continue
-            inter = min(det.end, end) - max(det.start, start)
-            if inter <= 0:
-                continue
-            union = (det.end - det.start) + (end - start) - inter
-            iou = inter / union
-            if iou > best_iou:
-                best_iou, best_g = iou, g
-        if best_g is not None and best_iou >= threshold:
-            matched.add(best_g)
+        if det.video_id not in by_video:
+            continue
+        starts, ends = by_video[det.video_id]
+        iou = segment_iou_matrix([det.start], [det.end], starts, ends)[0]
+        iou[matched[det.video_id]] = 0.0
+        best = int(np.argmax(iou))  # first of equal IoUs, in ground-truth order
+        if iou[best] >= threshold:
+            matched[det.video_id][best] = True
             flags[rank] = True
     return flags
 

@@ -1,8 +1,12 @@
 """Prediction-time fusion, non-maximum suppression, and video inference.
 
-Each decoded anchor's class probabilities are combined with the mean
+Prediction runs as one array pipeline per video. Every window is decoded,
+and the anchors of all windows become one row each of per-video arrays:
+softmax class probabilities (N, K+1), overlap (N,), and start/end in
+video snippets. Each row's class probabilities are combined with the mean
 snippet scores over its span (summed over blocks, averaged over rows and
-blocks) and gated by the predicted overlap:
+blocks, read from one prefix-sum table) and gated by the predicted
+overlap:
 
     base = [class probabilities if enabled] + [mean snippet scores if enabled]
     fused = overlap * base            (when overlap gating is enabled)
@@ -15,14 +19,14 @@ with threshold 0.1 removes overlapping duplicates.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Detection, ScoreSequence, slide_windows
 from .errors import ConfigError, DataError, UsageError
-from .matching import iou_1d
-from .model import AnchorPrediction, Network
+from .matching import segment_iou_matrix
+from .model import Network
 from .tensor import softmax
 
 PREDICTION_OVERLAP = 0.25  # window overlap fraction at inference time
@@ -71,91 +75,102 @@ def block_alignment(seq: ScoreSequence, categories):
     return out
 
 
-def mean_snippet_scores(seq: ScoreSequence, start, end, categories, alignment=None):
-    """Mean per-category snippet score over [start, end).
+def mean_snippet_scores(seq: ScoreSequence, starts, ends, categories, alignment=None):
+    """Mean per-category snippet score over each span [starts[i], ends[i]).
 
-    Scores are summed across blocks per snippet, then averaged over the
-    covered snippet rows and divided by the number of blocks. The range is
-    clamped to the video; rows floor(start)..ceil(end) are included. An
-    empty range yields zeros and a warning.
+    Returns an (N, K+1) array. Scores are summed across blocks per snippet,
+    then averaged over the covered snippet rows and divided by the number of
+    blocks. Each span is clamped to the video; rows floor(start)..ceil(end)
+    are included. Every span is read from one prefix-sum table over the
+    block-summed score matrix, so a span costs O(1) whatever its length. An
+    empty range yields a zero row and a warning.
     """
     if alignment is None:
         alignment = block_alignment(seq, categories)
     k1 = len(categories) + 1
-    start = max(float(start), 0.0)
-    end = min(float(end), float(seq.num_snippets))
-    lo = int(np.floor(start))
-    hi = int(np.ceil(end))
-    if hi <= lo:
-        warnings.warn(f"empty snippet range [{start}, {end}) in {seq.video_id!r}")
-        return np.zeros(k1)
-    out = np.zeros(k1)
-    for offset, block, cols in zip(seq.block_offsets(), seq.blocks, alignment):
-        rows = seq.matrix[lo:hi, offset:offset + block.width]
-        np.add.at(out, cols, rows.mean(axis=0))
-    return out / len(seq.blocks)
+    t = seq.num_snippets
+    starts = np.maximum(np.asarray(starts, dtype=float), 0.0)
+    ends = np.minimum(np.asarray(ends, dtype=float), float(t))
+    lo = np.floor(starts).astype(int)
+    hi = np.ceil(ends).astype(int)
+    empty = hi <= lo
+    for i in np.flatnonzero(empty):
+        warnings.warn(f"empty snippet range [{starts[i]}, {ends[i]}) in {seq.video_id!r}")
+
+    # block-summed scores in category order: (T, D) @ (D, K+1) 0/1 map
+    to_category = np.zeros((seq.dim, k1))
+    for offset, cols in zip(seq.block_offsets(), alignment):
+        to_category[offset + np.arange(len(cols)), cols] = 1.0
+    table = np.zeros((t + 1, k1))
+    np.cumsum(seq.matrix @ to_category, axis=0, out=table[1:])
+
+    lo = np.where(empty, 0, lo)
+    hi = np.where(empty, 0, hi)
+    rows = np.maximum(hi - lo, 1)[:, None]
+    return (table[hi] - table[lo]) / rows / len(seq.blocks)
 
 
-def fuse_scores(prediction: AnchorPrediction, mean_scores, config: FusionConfig):
-    """Fill in fused_scores/category/confidence on a copy of ``prediction``.
+def fuse_scores(class_scores, overlap, mean_scores, config: FusionConfig):
+    """Fuse N candidates' scores; returns ``(fused, category, confidence)``.
 
-    ``prediction.class_scores`` must already be softmax-normalized. The
-    category is the argmax over action columns only; ties go to the lower
-    category index.
+    ``class_scores`` (N, K+1) must already be softmax-normalized;
+    ``overlap`` is (N,) and ``mean_scores`` (N, K+1). ``fused`` is
+    (N, K+1); ``category`` (N,) is the argmax over action columns only,
+    ties going to the lower category index; ``confidence`` (N,) is the
+    fused score of that category.
     """
+    class_scores = np.asarray(class_scores, dtype=float)
     mean_scores = np.asarray(mean_scores, dtype=float)
-    if mean_scores.shape != prediction.class_scores.shape:
+    if mean_scores.shape != class_scores.shape:
         raise UsageError(
-            f"score shapes differ: {mean_scores.shape} vs {prediction.class_scores.shape}"
+            f"score shapes differ: {mean_scores.shape} vs {class_scores.shape}"
         )
     base = np.zeros_like(mean_scores)
     if config.use_class:
-        base = base + prediction.class_scores
+        base = base + class_scores
     if config.use_sas:
         base = base + mean_scores
-    fused = prediction.overlap * base if config.use_over else base
-    category = 1 + int(np.argmax(fused[1:]))
-    return replace(
-        prediction,
-        fused_scores=fused,
-        category=category,
-        confidence=float(fused[category]),
-    )
+    fused = np.asarray(overlap, dtype=float)[:, None] * base if config.use_over else base
+    category = 1 + np.argmax(fused[:, 1:], axis=1)
+    confidence = fused[np.arange(len(fused)), category]
+    return fused, category, confidence
 
 
 def nms(detections, threshold):
     """Greedy per-category suppression: visit detections by descending
     confidence (ties: earlier start, then input order) and drop any
     same-category detection whose IoU with a kept one exceeds the
-    threshold. Kept detections return in input order."""
+    threshold. Kept detections return in input order. Every detection
+    must have positive width."""
     if not (0 < threshold <= 1):
         raise ConfigError(f"nms threshold must be in (0, 1], got {threshold}")
-    by_cat = {}
-    for idx, det in enumerate(detections):
-        by_cat.setdefault(det.category, []).append(idx)
-    kept = []
-    for cat in sorted(by_cat):
-        order = sorted(by_cat[cat], key=lambda i: (-detections[i].confidence,
-                                                   detections[i].start, i))
-        chosen = []
-        for i in order:
-            det = detections[i]
-            if all(
-                iou_1d((det.start, det.end),
-                       (detections[j].start, detections[j].end)) <= threshold
-                for j in chosen
-            ):
-                chosen.append(i)
-        kept.extend(chosen)
-    return [detections[i] for i in sorted(kept)]
+    starts = np.array([d.start for d in detections], dtype=float)
+    ends = np.array([d.end for d in detections], dtype=float)
+    if np.any(ends <= starts):
+        raise UsageError("nms requires detections of positive width")
+    confidence = np.array([d.confidence for d in detections], dtype=float)
+    categories = np.array([d.category for d in detections])
+    order = np.lexsort((np.arange(len(detections)), starts, -confidence))
+    keep = np.zeros(len(detections), dtype=bool)
+    for cat in np.unique(categories):
+        todo = order[categories[order] == cat]
+        while todo.size:
+            best, todo = todo[0], todo[1:]
+            keep[best] = True
+            iou = segment_iou_matrix(starts[best:best + 1], ends[best:best + 1],
+                                     starts[todo], ends[todo])[0]
+            todo = todo[iou <= threshold]
+    return [detections[i] for i in np.flatnonzero(keep)]
 
 
 def predict_video(seq: ScoreSequence, network: Network, categories, config: FusionConfig):
     """Detect actions in one video.
 
-    Windows at 25% overlap are decoded, candidates are mapped to video
-    coordinates and clipped to [0, T], fused, suppressed per category,
-    and returned sorted by descending confidence.
+    Windows at 25% overlap are decoded one at a time; their anchors are
+    mapped to video coordinates, clipped to [0, T] and gathered into
+    per-video arrays in window-then-anchor order. Zero-width rows are
+    dropped, the rest are fused, suppressed per category, and returned
+    sorted by descending confidence.
     """
     if len(categories) != network.config.num_classes:
         raise UsageError(
@@ -172,32 +187,31 @@ def predict_video(seq: ScoreSequence, network: Network, categories, config: Fusi
     alignment = block_alignment(seq, categories)
     windows = slide_windows(seq, None, t_w, PREDICTION_OVERLAP, keep_empty=True)
 
-    candidates = []
+    probs, overlap, starts, ends = [], [], [], []
     for window in windows:
         decoded = network.decode(window.features)
-        probs = softmax(decoded.class_logits).data
+        probs.append(softmax(decoded.class_logits).data)
+        overlap.append(decoded.overlap.data)
         centers = window.start + decoded.centers.data * t_w
         widths = decoded.widths.data * t_w
-        starts = np.clip(centers - widths / 2, 0.0, t_v)
-        ends = np.clip(centers + widths / 2, 0.0, t_v)
-        overlap = decoded.overlap.data
-        for i in range(len(decoded)):
-            if ends[i] - starts[i] <= 0:
-                continue
-            mean_scores = mean_snippet_scores(seq, starts[i], ends[i], categories, alignment)
-            pred = AnchorPrediction(
-                center=float((starts[i] + ends[i]) / 2),
-                width=float(ends[i] - starts[i]),
-                class_scores=probs[i],
-                overlap=float(overlap[i]),
-            )
-            fused = fuse_scores(pred, mean_scores, config)
-            if config.suppress_background and int(np.argmax(fused.fused_scores)) == 0:
-                continue
-            candidates.append(
-                Detection(seq.video_id, float(starts[i]), float(ends[i]),
-                          fused.category, fused.confidence)
-            )
+        starts.append(np.clip(centers - widths / 2, 0.0, t_v))
+        ends.append(np.clip(centers + widths / 2, 0.0, t_v))
+    starts, ends = np.concatenate(starts), np.concatenate(ends)
+    live = ends - starts > 0
+    starts, ends = starts[live], ends[live]
+    probs, overlap = np.concatenate(probs)[live], np.concatenate(overlap)[live]
+
+    mean_scores = mean_snippet_scores(seq, starts, ends, categories, alignment)
+    fused, category, confidence = fuse_scores(probs, overlap, mean_scores, config)
+    if config.suppress_background:
+        live = np.argmax(fused, axis=1) != 0
+        starts, ends, category, confidence = (
+            starts[live], ends[live], category[live], confidence[live])
+    candidates = [
+        Detection(seq.video_id, s, e, c, f)
+        for s, e, c, f in zip(starts.tolist(), ends.tolist(),
+                              category.tolist(), confidence.tolist())
+    ]
     kept = nms(candidates, config.nms_threshold)
     order = sorted(range(len(kept)), key=lambda i: (-kept[i].confidence, kept[i].start, i))
     return [kept[i] for i in order]

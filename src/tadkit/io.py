@@ -12,6 +12,7 @@ inputs produce byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -134,6 +135,18 @@ def _require(cond, message):
         raise DataError(message)
 
 
+def _finite(value):
+    """``value`` as a float if it is a finite JSON number, else None
+    (Python's json also parses NaN and Infinity)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        value = float(value)
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
+
+
 def save_annotations(annotation_set: AnnotationSet, path):
     doc = {
         "categories": list(annotation_set.categories),
@@ -173,15 +186,23 @@ def load_annotations(path) -> AnnotationSet:
         _require(isinstance(vid, str) and vid, f"{path}: video record missing 'video_id'")
         _require(vid not in seen, f"{path}: duplicate video_id {vid!r}")
         seen.add(vid)
+        instances_doc = rec.get("instances", [])
+        _require(isinstance(instances_doc, list),
+                 f"{path}: video {vid!r}: 'instances' must be a list")
+        num_snippets = _finite(rec.get("num_snippets", 0))
+        _require(num_snippets is not None and num_snippets.is_integer(),
+                 f"{path}: video {vid!r}: 'num_snippets' must be an integer")
+        fps = _finite(rec.get("fps", 25.0))
+        _require(fps is not None, f"{path}: video {vid!r}: 'fps' must be a finite number")
         instances = []
-        for i, inst in enumerate(rec.get("instances", [])):
+        for i, inst in enumerate(instances_doc):
             label = f"{path}: video {vid!r} instance {i}"
             _require(isinstance(inst, dict), f"{label}: must be an object")
             try:
                 start = float(inst["start"])
                 end = float(inst["end"])
                 category = int(inst["category"])
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise DataError(f"{label}: needs numeric start/end and integer category") from exc
             _require(1 <= category <= len(categories),
                      f"{label}: category {category} outside 1..{len(categories)}")
@@ -191,8 +212,7 @@ def load_annotations(path) -> AnnotationSet:
                 raise DataError(f"{label}: {exc}") from exc
         try:
             videos.append(
-                VideoAnnotation(vid, int(rec.get("num_snippets", 0)),
-                                float(rec.get("fps", 25.0)), instances)
+                VideoAnnotation(vid, int(num_snippets), fps, instances)
             )
         except DataError as exc:
             raise DataError(f"{path}: {exc}") from exc
@@ -235,8 +255,10 @@ def load_predictions(path):
                 int(rec["category"]),
                 float(rec["confidence"]),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"{label}: malformed record") from exc
+        _require(all(math.isfinite(x) for x in (det.start, det.end, det.confidence)),
+                 f"{label}: start, end and confidence must be finite")
         _require(det.start < det.end, f"{label}: start must precede end")
         out.append(det)
     return out

@@ -21,21 +21,11 @@ POSITIVE_IOU = 0.5
 HARD_NEGATIVE_SCORE = 0.5
 
 
-def iou_1d(a, b) -> float:
-    """Intersection over union of two (start, end) segments."""
-    a_start, a_end = float(a[0]), float(a[1])
-    b_start, b_end = float(b[0]), float(b[1])
-    if a_end <= a_start or b_end <= b_start:
-        raise UsageError("iou_1d requires segments of positive width")
-    inter = min(a_end, b_end) - max(a_start, b_start)
-    if inter <= 0:
-        return 0.0
-    union = (a_end - a_start) + (b_end - b_start) - inter
-    return inter / union
-
-
 def segment_iou_matrix(starts_a, ends_a, starts_b, ends_b):
-    """Pairwise IoU between two segment sets, shape (len(a), len(b))."""
+    """Pairwise IoU between two segment sets, shape (len(a), len(b)).
+
+    This is the one IoU kernel of the package: matching, NMS and
+    evaluation all call it. Segments must have positive width."""
     sa = np.asarray(starts_a, dtype=float)[:, None]
     ea = np.asarray(ends_a, dtype=float)[:, None]
     sb = np.asarray(starts_b, dtype=float)[None, :]

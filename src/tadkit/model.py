@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -246,29 +246,6 @@ def anchor_grid(map_length, ratios, layer=0):
 
 
 @dataclass
-class AnchorPrediction:
-    """A decoded anchor. ``class_scores`` holds one score per class column
-    (background first); fusion expects them softmax-normalized. The fused
-    fields stay None until fusion fills them in."""
-
-    center: float
-    width: float
-    class_scores: np.ndarray
-    overlap: float
-    fused_scores: np.ndarray = None
-    category: int = None
-    confidence: float = None
-
-    @property
-    def start(self) -> float:
-        return self.center - self.width / 2
-
-    @property
-    def end(self) -> float:
-        return self.center + self.width / 2
-
-
-@dataclass
 class DecodedAnchors:
     """Batch decode of every anchor in a window, as graph tensors. Decoding
     a (B, T_w, D) stack adds a leading window axis to every field."""
@@ -287,28 +264,6 @@ class DecodedAnchors:
             take(self.class_logits, b), take(self.overlap, b),
             take(self.centers, b), take(self.widths, b),
         )
-
-
-def _scalar_sigmoid(x):
-    if x >= 0:
-        return 1.0 / (1.0 + np.exp(-x))
-    e = np.exp(x)
-    return e / (1.0 + e)
-
-
-def decode_anchor(anchor, raw, center_scale=0.1, width_scale=0.1, delta_clamp=50.0):
-    """Decode one anchor's raw prediction vector (class scores, overlap
-    logit, center offset, width offset) into an AnchorPrediction."""
-    raw = np.asarray(raw, dtype=DTYPE)
-    if raw.ndim != 1 or raw.shape[0] < 4:
-        raise UsageError(f"raw vector must be 1-D with >= 4 entries, got shape {raw.shape}")
-    logits = raw[:-3].copy()
-    overlap = float(_scalar_sigmoid(raw[-3]))
-    d_center = raw[-2]
-    d_width = min(max(raw[-1], -delta_clamp), delta_clamp)
-    center = anchor.center + center_scale * anchor.width * d_center
-    width = anchor.width * np.exp(width_scale * d_width)
-    return AnchorPrediction(float(center), float(width), logits, overlap)
 
 
 class Network:
@@ -429,10 +384,6 @@ class Network:
         centers = mul(d_center, cfg.center_scale * anchor_widths) + anchor_centers
         widths = mul(exp(mul(d_width, cfg.width_scale)), anchor_widths)
         return DecodedAnchors(logits, overlap, centers, widths)
-
-
-def build_network(config: NetworkConfig, seed=0) -> Network:
-    return Network(config, seed)
 
 
 def save_checkpoint(network: Network, path):

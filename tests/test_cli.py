@@ -113,6 +113,65 @@ class TestPipeline:
         assert a != b
 
 
+def valid_annotations():
+    return {"categories": ["a"], "videos": [
+        {"video_id": "v", "num_snippets": 100, "fps": 25.0,
+         "instances": [{"start": 10.0, "end": 20.0, "category": 1}]}]}
+
+
+def valid_predictions():
+    return {"predictions": [
+        {"video_id": "v", "start": 10.0, "end": 20.0, "category": 1, "confidence": 0.9}]}
+
+
+def set_annotation(field, value):
+    doc = valid_annotations()
+    doc["videos"][0][field] = value
+    return doc, valid_predictions()
+
+
+def set_prediction(field, value):
+    doc = valid_predictions()
+    doc["predictions"][0][field] = value
+    return valid_annotations(), doc
+
+
+class TestMalformedJson:
+    """Values that Python's json parses but the formats forbid exit 2 with
+    an error line, never with a traceback."""
+
+    @pytest.mark.parametrize("docs", [
+        set_annotation("instances", 5),
+        set_annotation("num_snippets", "ten"),
+        set_annotation("num_snippets", 100.5),
+        set_annotation("fps", float("nan")),
+        set_prediction("start", float("nan")),
+        set_prediction("start", float("-inf")),
+        set_prediction("end", float("inf")),
+        set_prediction("confidence", float("nan")),
+        set_prediction("category", float("inf")),
+    ], ids=["instances-int", "num_snippets-str", "num_snippets-fraction", "fps-nan",
+            "start-nan", "start-neg-inf", "end-inf", "confidence-nan", "category-inf"])
+    def test_eval_exits_2(self, tmp_path, capsys, docs):
+        annotations, predictions = docs
+        ann = tmp_path / "ann.json"
+        preds = tmp_path / "preds.json"
+        ann.write_text(json.dumps(annotations))
+        preds.write_text(json.dumps(predictions))
+        code = run("eval", "--predictions", str(preds), "--annotations", str(ann))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    def test_valid_files_evaluate(self, tmp_path, capsys):
+        ann = tmp_path / "ann.json"
+        preds = tmp_path / "preds.json"
+        ann.write_text(json.dumps(valid_annotations()))
+        preds.write_text(json.dumps(valid_predictions()))
+        assert run("eval", "--predictions", str(preds), "--annotations", str(ann)) == 0
+
+
 class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert run("--help") == 0

@@ -173,6 +173,27 @@ class TestSynth:
                         min_instance_length=200, max_instance_length=200,
                         min_video_length=500, max_video_length=900)
 
+    def test_overrunning_draws_fit_the_video(self):
+        # four instances of up to 140 snippets can overrun a 450-snippet
+        # video (seeds 3 and 8 draw one); three of at least 200 cannot fit
+        # a video shorter than 600, so such videos grow
+        overrun = SynthConfig(max_instances=4, max_instance_length=140, min_video_length=450)
+        too_short = SynthConfig(num_videos=10, min_instances=3, max_instances=3,
+                                min_instance_length=200, max_instance_length=220)
+        for cfg, seed in [(overrun, s) for s in range(20)] + [(too_short, 0)]:
+            seqs, anns = synth_generate(cfg, seed)
+            for seq, ann in zip(seqs, anns):
+                assert cfg.min_video_length <= seq.num_snippets == ann.num_snippets
+                assert seq.num_snippets <= cfg.max_video_length
+                assert cfg.min_instances <= len(ann.instances) <= cfg.max_instances
+                ends = [0.0]
+                for inst in ann.instances:
+                    assert inst.start >= ends[-1]
+                    assert (cfg.min_instance_length <= inst.length
+                            <= cfg.max_instance_length)
+                    ends.append(inst.end)
+                assert ends[-1] <= seq.num_snippets
+
     def test_feature_dim_matches_blocks(self):
         cfg = SynthConfig(num_videos=1, num_classes=5, block_names=("a", "b"))
         seqs, _ = synth_generate(cfg, 0)

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from tadkit.data import Detection, ScoreBlock, ScoreSequence, SynthConfig, synth_generate
+from tadkit.data import (
+    Detection, ScoreBlock, ScoreSequence, SynthConfig, slide_windows, synth_generate,
+)
 from tadkit.errors import ConfigError, DataError, UsageError
 from tadkit.inference import (
+    PREDICTION_OVERLAP,
     FusionConfig,
     block_alignment,
     fuse_scores,
@@ -12,7 +15,8 @@ from tadkit.inference import (
     nms,
     predict_video,
 )
-from tadkit.model import AnchorPrediction, Network, NetworkConfig
+from tadkit.model import Network, NetworkConfig
+from tadkit.tensor import softmax
 
 from oracles import brute_nms, direct_mean_scores
 
@@ -56,27 +60,27 @@ class TestMeanSnippetScores:
             [9.0, 9.0, 9.0, 9.0],
         ])
         seq = make_seq(matrix, [ScoreBlock("p", 2), ScoreBlock("q", 2)])
-        out = mean_snippet_scores(seq, 1.0, 3.0, ["only"])
+        out = mean_snippet_scores(seq, [1.0], [3.0], ["only"])
         # per block means over rows 1-2, summed, over 2 blocks
-        assert_allclose(out, [(0.3 + 0.2) / 2, (0.7 + 0.8) / 2])
+        assert_allclose(out, [[(0.3 + 0.2) / 2, (0.7 + 0.8) / 2]])
 
     def test_fractional_range_includes_partial_rows(self):
         matrix = np.array([[1.0], [2.0], [4.0], [8.0]])
         seq = make_seq(matrix, [ScoreBlock("b", 1)])
-        out = mean_snippet_scores(seq, 1.2, 2.6, [])
+        out = mean_snippet_scores(seq, [1.2], [2.6], [])
         # floor(1.2)=1 .. ceil(2.6)=3 covers rows 1 and 2
-        assert_allclose(out, [(2.0 + 4.0) / 2])
+        assert_allclose(out, [[(2.0 + 4.0) / 2]])
 
     def test_range_clamped_to_video(self):
         matrix = np.array([[1.0], [3.0]])
         seq = make_seq(matrix, [ScoreBlock("b", 1)])
-        assert_allclose(mean_snippet_scores(seq, -5.0, 99.0, []), [2.0])
+        assert_allclose(mean_snippet_scores(seq, [-5.0], [99.0], []), [[2.0]])
 
     def test_empty_range_warns_and_zeroes(self):
         seq = make_seq(np.ones((4, 1)), [ScoreBlock("b", 1)])
         with pytest.warns(UserWarning, match="empty snippet range"):
-            out = mean_snippet_scores(seq, 2.0, 2.0, [])
-        assert_allclose(out, [0.0])
+            out = mean_snippet_scores(seq, [2.0], [2.0], [])
+        assert_allclose(out, [[0.0]])
 
     def test_matches_direct_summation_on_random_ranges(self):
         rng = np.random.default_rng(8)
@@ -86,47 +90,83 @@ class TestMeanSnippetScores:
         names = ("background", "a", "b", "c")
         seq = make_seq(matrix, [ScoreBlock("x", k1, names), ScoreBlock("y", k1, names)])
         alignment = block_alignment(seq, ["a", "b", "c"])
-        for _ in range(20):
-            start = rng.uniform(0, 35)
-            end = start + rng.uniform(0.5, 5)
-            got = mean_snippet_scores(seq, start, end, ["a", "b", "c"])
+        starts = rng.uniform(0, 35, 20)
+        ends = starts + rng.uniform(0.5, 5, 20)
+        got = mean_snippet_scores(seq, starts, ends, ["a", "b", "c"])
+        for row, start, end in zip(got, starts, ends):
             expect = direct_mean_scores(matrix, widths, alignment, start, end, k1)
-            assert_allclose(got, expect, rtol=1e-12)
+            assert_allclose(row, expect, rtol=1e-12)
+
+    def test_prefix_sums_hold_precision_on_a_long_video(self):
+        # the length of a long benchmark video: prefix sums reach ~10^4
+        cfg = SynthConfig(num_videos=1, min_video_length=20000, max_video_length=20000,
+                          min_instances=40, max_instances=80, noise_sigma=0.2)
+        (seq,), _ = synth_generate(cfg, 3)
+        assert seq.num_snippets == 20000 and len(seq.blocks) == 3
+        alignment = block_alignment(seq, cfg.category_names)
+        rng = np.random.default_rng(9)
+        starts = rng.uniform(0, 19990, 200)
+        ends = np.minimum(starts + rng.uniform(0.5, 400, 200), 20000)
+        got = mean_snippet_scores(seq, starts, ends, cfg.category_names)
+        widths = [b.width for b in seq.blocks]
+        for row, start, end in zip(got, starts, ends):
+            expect = direct_mean_scores(seq.matrix, widths, alignment, start, end,
+                                        cfg.head_width)
+            assert_allclose(row, expect, rtol=1e-9)
 
 
 class TestFuseScores:
-    def prediction(self, class_scores, overlap):
-        return AnchorPrediction(0.5, 0.2, np.asarray(class_scores, dtype=float), overlap)
+    def fuse(self, class_scores, overlap, mean_scores, config):
+        """Fuse one candidate; returns its fused row, category, confidence."""
+        fused, category, confidence = fuse_scores(
+            [class_scores], [overlap], [mean_scores], config)
+        return fused[0], category[0], confidence[0]
 
     def test_full_fusion_crafted_values(self):
-        pred = self.prediction([0.1, 0.6, 0.3], overlap=0.5)
-        fused = fuse_scores(pred, np.array([0.2, 0.2, 0.6]), FusionConfig())
-        assert_allclose(fused.fused_scores, [0.15, 0.4, 0.45])
-        assert fused.category == 2
-        assert_allclose(fused.confidence, 0.45)
+        fused, category, confidence = self.fuse(
+            [0.1, 0.6, 0.3], 0.5, [0.2, 0.2, 0.6], FusionConfig())
+        assert_allclose(fused, [0.15, 0.4, 0.45])
+        assert category == 2
+        assert_allclose(confidence, 0.45)
 
     def test_background_column_never_wins_category(self):
-        pred = self.prediction([0.9, 0.05, 0.05], overlap=1.0)
-        fused = fuse_scores(pred, np.zeros(3), FusionConfig(use_sas=False))
-        assert fused.category == 1  # argmax over action columns only
+        _, category, _ = self.fuse([0.9, 0.05, 0.05], 1.0, np.zeros(3),
+                                   FusionConfig(use_sas=False))
+        assert category == 1  # argmax over action columns only
 
     def test_class_only_and_sas_only(self):
-        pred = self.prediction([0.1, 0.6, 0.3], overlap=0.5)
-        sas = np.array([0.2, 0.2, 0.6])
-        no_sas = fuse_scores(pred, sas, FusionConfig(use_sas=False, use_over=False))
-        assert_allclose(no_sas.fused_scores, [0.1, 0.6, 0.3])
-        no_class = fuse_scores(pred, sas, FusionConfig(use_class=False, use_over=False))
-        assert_allclose(no_class.fused_scores, sas)
+        sas = [0.2, 0.2, 0.6]
+        no_sas, _, _ = self.fuse([0.1, 0.6, 0.3], 0.5, sas,
+                                 FusionConfig(use_sas=False, use_over=False))
+        assert_allclose(no_sas, [0.1, 0.6, 0.3])
+        no_class, _, _ = self.fuse([0.1, 0.6, 0.3], 0.5, sas,
+                                   FusionConfig(use_class=False, use_over=False))
+        assert_allclose(no_class, sas)
 
     def test_zero_overlap_zeroes_confidence(self):
-        pred = self.prediction([0.1, 0.6, 0.3], overlap=0.0)
-        fused = fuse_scores(pred, np.array([0.2, 0.2, 0.6]), FusionConfig())
-        assert fused.confidence == 0.0
+        _, _, confidence = self.fuse([0.1, 0.6, 0.3], 0.0, [0.2, 0.2, 0.6], FusionConfig())
+        assert confidence == 0.0
 
-    def test_input_prediction_unchanged(self):
-        pred = self.prediction([0.1, 0.6, 0.3], overlap=0.5)
-        fuse_scores(pred, np.array([0.2, 0.2, 0.6]), FusionConfig())
-        assert pred.fused_scores is None and pred.category is None
+    def test_input_arrays_unchanged(self):
+        class_scores = np.array([[0.1, 0.6, 0.3]])
+        overlap = np.array([0.5])
+        mean_scores = np.array([[0.2, 0.2, 0.6]])
+        fuse_scores(class_scores, overlap, mean_scores, FusionConfig())
+        assert class_scores.tolist() == [[0.1, 0.6, 0.3]]
+        assert overlap.tolist() == [0.5]
+        assert mean_scores.tolist() == [[0.2, 0.2, 0.6]]
+
+    def test_rows_fuse_independently_and_ties_go_to_lower_category(self):
+        class_scores = np.array([[0.1, 0.6, 0.3], [0.2, 0.4, 0.4]])
+        fused, category, confidence = fuse_scores(
+            class_scores, [0.5, 1.0], np.zeros((2, 3)), FusionConfig(use_sas=False))
+        assert_allclose(fused, [[0.05, 0.3, 0.15], [0.2, 0.4, 0.4]])
+        assert category.tolist() == [1, 1]
+        assert_allclose(confidence, [0.3, 0.4])
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(UsageError, match="shapes differ"):
+            fuse_scores(np.zeros((2, 3)), np.zeros(2), np.zeros((2, 4)), FusionConfig())
 
     def test_at_least_one_source_required(self):
         with pytest.raises(ConfigError):
@@ -172,6 +212,10 @@ class TestNms:
                 got = nms(dets, threshold)
                 expect = [dets[i] for i in brute_nms(dets, threshold)]
                 assert got == expect, f"trial {trial} threshold {threshold}"
+
+    def test_zero_width_rejected(self):
+        with pytest.raises(UsageError, match="positive width"):
+            nms([self.det(0.0, 1.0, 0.9), self.det(0.5, 0.5, 0.8)], 0.1)
 
     def test_confidence_tie_keeps_earlier_start(self):
         a = self.det(5.0, 15.0, 0.8)
@@ -219,6 +263,40 @@ class TestPredictVideo:
                     if inter > 0:
                         iou = inter / ((a.end - a.start) + (b.end - b.start) - inter)
                         assert iou <= 0.1 + 1e-12
+
+    def test_matches_per_candidate_recomputation(self):
+        # every window's anchors decoded, clipped and fused one at a time,
+        # then suppressed by the brute-force NMS
+        config = FusionConfig()
+        t_v = self.seq.num_snippets
+        t_w = self.net.config.window_length
+        alignment = block_alignment(self.seq, self.categories)
+        widths = [b.width for b in self.seq.blocks]
+        candidates = []
+        for window in slide_windows(self.seq, None, t_w, PREDICTION_OVERLAP, keep_empty=True):
+            decoded = self.net.decode(window.features)
+            probs = softmax(decoded.class_logits).data
+            for i in range(len(decoded)):
+                center = window.start + decoded.centers.data[i] * t_w
+                width = decoded.widths.data[i] * t_w
+                start = min(max(center - width / 2, 0.0), t_v)
+                end = min(max(center + width / 2, 0.0), t_v)
+                if end <= start:
+                    continue
+                mean = direct_mean_scores(self.seq.matrix, widths, alignment,
+                                          start, end, 3)
+                fused = decoded.overlap.data[i] * (probs[i] + mean)
+                category = 1 + int(np.argmax(fused[1:]))
+                candidates.append(Detection(self.seq.video_id, float(start), float(end),
+                                            category, float(fused[category])))
+        kept = [candidates[i] for i in brute_nms(candidates, config.nms_threshold)]
+        kept.sort(key=lambda d: (-d.confidence, d.start))
+        got = predict_video(self.seq, self.net, self.categories, config)
+        assert len(got) == len(kept)
+        for g, k in zip(got, kept):
+            assert (g.video_id, g.start, g.end, g.category) == (
+                k.video_id, k.start, k.end, k.category)
+            assert_allclose(g.confidence, k.confidence, rtol=1e-12)
 
     def test_category_count_mismatch_rejected(self):
         with pytest.raises(UsageError, match="categories"):

@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from tadkit.data import ActionInstance
 from tadkit.errors import UsageError
-from tadkit.matching import hard_negative_mine, iou_1d, match_anchors, segment_iou_matrix
+from tadkit.matching import hard_negative_mine, match_anchors, segment_iou_matrix
 from tadkit.model import Anchor, anchor_grid
 
 from oracles import brute_match, interval_iou
@@ -14,27 +14,28 @@ def make_anchor(start, end):
     return Anchor(0, 0, 1.0, (start + end) / 2, end - start)
 
 
+def iou(a, b):
+    """IoU of two (start, end) segments as a 1x1 segment_iou_matrix."""
+    return segment_iou_matrix([a[0]], [a[1]], [b[0]], [b[1]])[0, 0]
+
+
 class TestIou:
     def test_known_values(self):
-        assert_allclose(iou_1d((0.25, 0.75), (0.3, 0.7)), 0.8)
-        assert iou_1d((0.0, 1.0), (2.0, 3.0)) == 0.0
-        assert iou_1d((0.0, 1.0), (0.0, 1.0)) == 1.0
-        assert_allclose(iou_1d((0.0, 2.0), (1.0, 3.0)), 1 / 3)
+        assert_allclose(iou((0.25, 0.75), (0.3, 0.7)), 0.8)
+        assert iou((0.0, 1.0), (2.0, 3.0)) == 0.0
+        assert iou((0.0, 1.0), (0.0, 1.0)) == 1.0
+        assert_allclose(iou((0.0, 2.0), (1.0, 3.0)), 1 / 3)
 
     def test_touching_segments_have_zero_iou(self):
-        assert iou_1d((0.0, 1.0), (1.0, 2.0)) == 0.0
-
-    def test_zero_width_rejected(self):
-        with pytest.raises(UsageError):
-            iou_1d((0.5, 0.5), (0.0, 1.0))
+        assert iou((0.0, 1.0), (1.0, 2.0)) == 0.0
 
     def test_symmetry_and_bounds(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
             a = np.sort(rng.uniform(0, 10, 2) + [0, 0.01])
             b = np.sort(rng.uniform(0, 10, 2) + [0, 0.01])
-            ab = iou_1d(a, b)
-            assert ab == iou_1d(b, a)
+            ab = iou(a, b)
+            assert ab == iou(b, a)
             assert 0.0 <= ab <= 1.0
             assert_allclose(ab, interval_iou(a, b))
 
@@ -47,7 +48,8 @@ class TestIou:
         m = segment_iou_matrix(sa, sa + wa, sb, sb + wb)
         for i in range(8):
             for j in range(5):
-                assert_allclose(m[i, j], iou_1d((sa[i], sa[i] + wa[i]), (sb[j], sb[j] + wb[j])))
+                assert_allclose(m[i, j], interval_iou((sa[i], sa[i] + wa[i]),
+                                                      (sb[j], sb[j] + wb[j])))
 
 
 class TestMatchAnchors:

@@ -6,13 +6,10 @@ import tadkit.model
 from tadkit.errors import ConfigError, DataError, UsageError
 from tadkit.model import (
     BASE_ARCHITECTURES,
-    Anchor,
     LayerSpec,
     Network,
     NetworkConfig,
     anchor_grid,
-    build_network,
-    decode_anchor,
     load_checkpoint,
     save_checkpoint,
 )
@@ -49,30 +46,40 @@ class TestAnchorGrid:
         assert net.num_anchors == 16 * 3 + 8 * 5 + 4 * 5 == 108
 
 
+def decode_raw(raw):
+    """Decode a small network whose prediction heads emit ``raw`` for every
+    anchor: the ``pred.*.kernel`` are zero and the ``pred.*.bias`` repeat
+    the raw vector (class scores, overlap logit, center and width offsets)
+    once per ratio. Returns the network and its decode of one window."""
+    net = Network(small_config(), seed=0)
+    for p in net.parameters:
+        if p.name.startswith("pred.") and p.name.endswith(".kernel"):
+            p.data[...] = 0.0
+        elif p.name.startswith("pred.") and p.name.endswith(".bias"):
+            p.data[...] = np.tile(raw, p.data.size // len(raw))
+    return net, net.decode(np.zeros((128, 6)))
+
+
 class TestDecodeAnchor:
     def test_known_offsets(self):
-        a = Anchor(0, 0, 1.0, center=0.5, width=0.25)
-        pred = decode_anchor(a, np.array([0.0, 0.0, 0.0, 0.0, 1.0, 0.0]))
-        assert_allclose(pred.center, 0.5 + 0.1 * 0.25 * 1.0)
-        assert_allclose(pred.width, 0.25)
-        assert_allclose(pred.overlap, 0.5)  # logit zero
+        net, pred = decode_raw(np.array([0.0, 0.0, 0.0, 0.0, 1.0, 0.0]))
+        assert_allclose(pred.centers.data, net.anchor_centers + 0.1 * net.anchor_widths * 1.0)
+        assert_allclose(pred.widths.data, net.anchor_widths)
+        assert_allclose(pred.overlap.data, 0.5)  # logit zero
 
     def test_width_offset_exponentiates(self):
-        a = Anchor(0, 0, 1.0, 0.5, 0.2)
-        pred = decode_anchor(a, np.array([0.0, 0.0, 0.0, 0.0, 0.0, 3.0]))
-        assert_allclose(pred.width, 0.2 * np.exp(0.3))
+        net, pred = decode_raw(np.array([0.0, 0.0, 0.0, 0.0, 0.0, 3.0]))
+        assert_allclose(pred.widths.data, net.anchor_widths * np.exp(0.3))
 
     def test_width_offset_clamped(self):
-        a = Anchor(0, 0, 1.0, 0.5, 0.2)
-        hi = decode_anchor(a, np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1e4]))
-        assert_allclose(hi.width, 0.2 * np.exp(0.1 * 50.0))
-        lo = decode_anchor(a, np.array([0.0, 0.0, 0.0, 0.0, 0.0, -1e4]))
-        assert_allclose(lo.width, 0.2 * np.exp(-0.1 * 50.0))
+        net, hi = decode_raw(np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1e4]))
+        assert_allclose(hi.widths.data, net.anchor_widths * np.exp(0.1 * 50.0))
+        net, lo = decode_raw(np.array([0.0, 0.0, 0.0, 0.0, 0.0, -1e4]))
+        assert_allclose(lo.widths.data, net.anchor_widths * np.exp(-0.1 * 50.0))
 
     def test_overlap_logit_saturates_safely(self):
-        a = Anchor(0, 0, 1.0, 0.5, 0.2)
-        pred = decode_anchor(a, np.array([0.0, 0.0, 0.0, -900.0, 0.0, 0.0]))
-        assert pred.overlap == 0.0
+        _, pred = decode_raw(np.array([0.0, 0.0, 0.0, -900.0, 0.0, 0.0]))
+        assert np.all(pred.overlap.data == 0.0)
 
 
 class TestNetworkConfig:
@@ -241,9 +248,3 @@ class TestCheckpoint:
         path = tmp_path / "d.ckpt"
         save_checkpoint(net, path)
         assert load_checkpoint(path).config.base_layers() == cfg.base_layers()
-
-
-def test_build_network_alias():
-    net = build_network(small_config(), seed=0)
-    assert isinstance(net, Network)
-    assert net.num_parameters > 0
