@@ -69,63 +69,19 @@ DEFAULTS = {
 }
 
 
-class Settings:
-    """Flat dotted-key configuration with typed access."""
-
-    def __init__(self, values):
-        self.values = values
-
-    def _get(self, key):
-        try:
-            return self.values[key]
-        except KeyError:
-            raise ConfigError(f"unknown setting {key!r}") from None
-
-    def get_int(self, key) -> int:
-        v = self._get(key)
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise ConfigError(f"setting {key!r} must be an integer, got {v!r}")
-        return v
-
-    def get_float(self, key) -> float:
-        v = self._get(key)
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"setting {key!r} must be a number, got {v!r}")
-        return float(v)
-
-    def get_bool(self, key) -> bool:
-        v = self._get(key)
-        if not isinstance(v, bool):
-            raise ConfigError(f"setting {key!r} must be true or false, got {v!r}")
-        return v
-
-    def get_str(self, key) -> str:
-        v = self._get(key)
-        if not isinstance(v, str):
-            raise ConfigError(f"setting {key!r} must be a string, got {v!r}")
-        return v
-
-
 def _check_setting_type(key, value):
-    """The defaults table doubles as the type schema."""
-    default = DEFAULTS[key]
-    ok = (
-        isinstance(value, bool)
-        if isinstance(default, bool)
-        else isinstance(value, int) and not isinstance(value, bool)
-        if isinstance(default, int)
-        else isinstance(value, (int, float)) and not isinstance(value, bool)
-        if isinstance(default, float)
-        else isinstance(value, str)
-    )
-    if not ok:
-        raise ConfigError(
-            f"setting {key!r} must be a {type(default).__name__}, got {value!r}"
-        )
+    """The defaults table doubles as the type schema. Returns ``value``,
+    as a float where the default is one."""
+    kind = type(DEFAULTS[key])
+    if (isinstance(value, bool) != (kind is bool)
+            or not isinstance(value, (int, float) if kind is float else kind)):
+        raise ConfigError(f"setting {key!r} must be a {kind.__name__}, got {value!r}")
+    return float(value) if kind is float else value
 
 
 def load_settings(config_path, overrides):
-    """defaults <- config file <- command-line flags."""
+    """defaults <- config file <- command-line flags, as one dict whose
+    values have the types of the defaults (flags are typed by argparse)."""
     values = dict(DEFAULTS)
     if config_path:
         try:
@@ -140,13 +96,11 @@ def load_settings(config_path, overrides):
         unknown = sorted(set(doc) - set(DEFAULTS))
         if unknown:
             raise ConfigError(f"{config_path}: unknown settings {unknown}")
-        for key, value in doc.items():
-            _check_setting_type(key, value)
-        values.update(doc)
+        values.update((key, _check_setting_type(key, value)) for key, value in doc.items())
     for key, value in overrides.items():
         if value is not None:
             values[key] = value
-    return Settings(values)
+    return values
 
 
 def parse_thresholds(spec):
@@ -189,14 +143,14 @@ def parse_fusion(spec, nms_threshold, suppress_background):
     )
 
 
-def _network_config(settings: Settings, feature_dim, num_classes) -> NetworkConfig:
+def _network_config(settings, feature_dim, num_classes) -> NetworkConfig:
     return NetworkConfig(
         feature_dim=feature_dim,
         num_classes=num_classes,
-        window_length=settings.get_int("net.window_length"),
-        base_arch=settings.get_str("net.base_arch"),
-        base_filters=settings.get_int("net.base_filters"),
-        anchor_filters=settings.get_int("net.anchor_filters"),
+        window_length=settings["net.window_length"],
+        base_arch=settings["net.base_arch"],
+        base_filters=settings["net.base_filters"],
+        anchor_filters=settings["net.anchor_filters"],
     )
 
 
@@ -239,24 +193,24 @@ def _load_split(data_dir, split):
 
 def cmd_synth(args) -> int:
     settings = load_settings(args.config, {"seed": args.seed})
-    seed = settings.get_int("seed")
+    seed = settings["seed"]
     block_names = tuple(
-        t.strip() for t in settings.get_str("synth.block_names").split(",") if t.strip()
+        t.strip() for t in settings["synth.block_names"].split(",") if t.strip()
     )
 
     def make_config(num_videos, prefix):
         return SynthConfig(
             num_videos=num_videos,
-            num_classes=settings.get_int("synth.classes"),
+            num_classes=settings["synth.classes"],
             block_names=block_names,
-            min_video_length=settings.get_int("synth.min_video_length"),
-            max_video_length=settings.get_int("synth.max_video_length"),
-            min_instances=settings.get_int("synth.min_instances"),
-            max_instances=settings.get_int("synth.max_instances"),
-            min_instance_length=settings.get_int("synth.min_instance_length"),
-            max_instance_length=settings.get_int("synth.max_instance_length"),
-            noise_sigma=settings.get_float("synth.noise_sigma"),
-            score_level=settings.get_float("synth.score_level"),
+            min_video_length=settings["synth.min_video_length"],
+            max_video_length=settings["synth.max_video_length"],
+            min_instances=settings["synth.min_instances"],
+            max_instances=settings["synth.max_instances"],
+            min_instance_length=settings["synth.min_instance_length"],
+            max_instance_length=settings["synth.max_instance_length"],
+            noise_sigma=settings["synth.noise_sigma"],
+            score_level=settings["synth.score_level"],
             video_id_prefix=prefix,
         )
 
@@ -267,7 +221,7 @@ def cmd_synth(args) -> int:
         ("train", "synth.train_videos", 0),
         ("test", "synth.test_videos", 1),
     ):
-        config = make_config(settings.get_int(count_key), split)
+        config = make_config(settings[count_key], split)
         sequences, annotations = synth_generate(
             config, np.random.SeedSequence([seed, seed_tag])
         )
@@ -296,7 +250,7 @@ def cmd_train(args) -> int:
         "net.base_arch": args.arch,
     })
     manifest, annotations, sequences = _load_split(args.data, "train")
-    window_length = settings.get_int("net.window_length")
+    window_length = settings["net.window_length"]
     by_id = annotations.by_id()
     windows = []
     for seq in sequences:
@@ -308,19 +262,19 @@ def cmd_train(args) -> int:
         raise DataError("training split produced no windows with targets")
 
     net_config = _network_config(settings, sequences[0].dim, len(manifest["categories"]))
-    network = Network(net_config, seed=settings.get_int("seed"))
+    network = Network(net_config, seed=settings["seed"])
     train_config = TrainConfig(
-        epochs=settings.get_int("train.epochs"),
-        learning_rate=settings.get_float("train.learning_rate"),
-        batch_size=settings.get_int("train.batch_size"),
-        seed=settings.get_int("seed"),
+        epochs=settings["train.epochs"],
+        learning_rate=settings["train.learning_rate"],
+        batch_size=settings["train.batch_size"],
+        seed=settings["seed"],
         weights=LossWeights(
-            overlap=settings.get_float("train.weight_overlap"),
-            location=settings.get_float("train.weight_location"),
-            l2=settings.get_float("train.weight_l2"),
+            overlap=settings["train.weight_overlap"],
+            location=settings["train.weight_location"],
+            l2=settings["train.weight_l2"],
         ),
-        checkpoint_every=settings.get_int("train.checkpoint_every"),
-        divergence_limit=settings.get_float("train.divergence_limit"),
+        checkpoint_every=settings["train.checkpoint_every"],
+        divergence_limit=settings["train.divergence_limit"],
     )
     print(f"{len(windows)} training windows, {network.num_parameters} parameters")
     result = train(
@@ -340,9 +294,9 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     settings = load_settings(args.config, {"fusion.components": args.fusion})
     fusion = parse_fusion(
-        settings.get_str("fusion.components"),
-        settings.get_float("fusion.nms_threshold"),
-        settings.get_bool("fusion.suppress_background"),
+        settings["fusion.components"],
+        settings["fusion.nms_threshold"],
+        settings["fusion.suppress_background"],
     )
     network = load_checkpoint(args.checkpoint)
     manifest, _, sequences = _load_split(args.data, args.split)
@@ -360,8 +314,8 @@ def cmd_eval(args) -> int:
         "eval.thresholds": args.thresholds,
         "eval.interpolation": args.interpolation,
     })
-    thresholds = parse_thresholds(settings.get_str("eval.thresholds"))
-    interpolation = settings.get_str("eval.interpolation")
+    thresholds = parse_thresholds(settings["eval.thresholds"])
+    interpolation = settings["eval.interpolation"]
     predictions = load_predictions(args.predictions)
     annotations = load_annotations(args.annotations)
     report = evaluate(predictions, annotations, thresholds, interpolation)
@@ -377,8 +331,8 @@ def cmd_gradcheck(args) -> int:
         "seed": args.seed,
         "gradcheck.tolerance": args.tolerance,
     })
-    seed = settings.get_int("seed")
-    tolerance = settings.get_float("gradcheck.tolerance")
+    seed = settings["seed"]
+    tolerance = settings["gradcheck.tolerance"]
 
     config = NetworkConfig(
         feature_dim=6, num_classes=2, window_length=128,

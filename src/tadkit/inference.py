@@ -1,7 +1,8 @@
 """Prediction-time fusion, non-maximum suppression, and video inference.
 
-Prediction runs as one array pipeline per video. Every window is decoded,
-and the anchors of all windows become one row each of per-video arrays:
+Prediction runs as one array pipeline per video. Windows are decoded in
+stacks of DECODE_STACK, one batched graph per stack, and the anchors of
+all windows become one row each of per-video arrays:
 softmax class probabilities (N, K+1), overlap (N,), and start/end in
 video snippets. Each row's class probabilities are combined with the mean
 snippet scores over its span (summed over blocks, averaged over rows and
@@ -30,6 +31,7 @@ from .model import Network
 from .tensor import softmax
 
 PREDICTION_OVERLAP = 0.25  # window overlap fraction at inference time
+DECODE_STACK = 4  # windows decoded together as one graph at inference time
 
 
 @dataclass(frozen=True)
@@ -166,9 +168,10 @@ def nms(detections, threshold):
 def predict_video(seq: ScoreSequence, network: Network, categories, config: FusionConfig):
     """Detect actions in one video.
 
-    Windows at 25% overlap are decoded one at a time; their anchors are
-    mapped to video coordinates, clipped to [0, T] and gathered into
-    per-video arrays in window-then-anchor order. Zero-width rows are
+    Windows at 25% overlap are decoded in stacks of DECODE_STACK, each
+    stack as one batched graph (the last stack may be shorter); their
+    anchors are mapped to video coordinates, clipped to [0, T] and gathered
+    into per-video arrays in window-then-anchor order. Zero-width rows are
     dropped, the rest are fused, suppressed per category, and returned
     sorted by descending confidence.
     """
@@ -188,18 +191,23 @@ def predict_video(seq: ScoreSequence, network: Network, categories, config: Fusi
     windows = slide_windows(seq, None, t_w, PREDICTION_OVERLAP, keep_empty=True)
 
     probs, overlap, starts, ends = [], [], [], []
-    for window in windows:
-        decoded = network.decode(window.features)
+    for first in range(0, len(windows), DECODE_STACK):
+        stack = windows[first:first + DECODE_STACK]
+        decoded = network.decode(np.stack([w.features for w in stack]))
         probs.append(softmax(decoded.class_logits).data)
         overlap.append(decoded.overlap.data)
-        centers = window.start + decoded.centers.data * t_w
+        origin = np.array([[w.start] for w in stack], dtype=float)  # (B, 1)
+        centers = origin + decoded.centers.data * t_w
         widths = decoded.widths.data * t_w
+        del decoded  # free this stack's graph before the next one is built
         starts.append(np.clip(centers - widths / 2, 0.0, t_v))
         ends.append(np.clip(centers + widths / 2, 0.0, t_v))
-    starts, ends = np.concatenate(starts), np.concatenate(ends)
+    # (B, N, ...) stacks -> rows in window-then-anchor order
+    starts, ends = np.concatenate(starts).ravel(), np.concatenate(ends).ravel()
     live = ends - starts > 0
     starts, ends = starts[live], ends[live]
-    probs, overlap = np.concatenate(probs)[live], np.concatenate(overlap)[live]
+    probs = np.concatenate(probs).reshape(len(live), -1)[live]
+    overlap = np.concatenate(overlap).ravel()[live]
 
     mean_scores = mean_snippet_scores(seq, starts, ends, categories, alignment)
     fused, category, confidence = fuse_scores(probs, overlap, mean_scores, config)

@@ -45,10 +45,11 @@ def atomic_write_text(path, text: str):
 
 
 class _Reader:
-    """Cursor over a byte string that raises DataError with the failing offset."""
+    """Cursor over a file's bytes that raises DataError with the failing offset."""
 
-    def __init__(self, payload: bytes, path):
-        self.payload = payload
+    def __init__(self, path):
+        with open(path, "rb") as fh:
+            self.payload = fh.read()
         self.pos = 0
         self.path = path
 
@@ -68,6 +69,19 @@ class _Reader:
 
     def u32(self, what):
         return struct.unpack("<I", self.take(4, what))[0]
+
+    def text(self, count, what):
+        """The next ``count`` bytes decoded as UTF-8."""
+        offset = self.pos
+        try:
+            return self.take(count, what).decode("utf-8")
+        except UnicodeDecodeError:
+            self.fail(f"{what} is not valid UTF-8", offset=offset)
+
+    def finish(self):
+        """Reject any bytes left after the last field."""
+        if self.pos != len(self.payload):
+            self.fail(f"{len(self.payload) - self.pos} trailing bytes")
 
 
 def save_sas_features(seq: ScoreSequence, path):
@@ -91,9 +105,7 @@ def save_sas_features(seq: ScoreSequence, path):
 def load_sas_features(path, class_names=None) -> ScoreSequence:
     """Parse an SASF file. ``class_names`` optionally maps each block name to
     a column-name tuple (the binary format does not carry column names)."""
-    with open(path, "rb") as fh:
-        payload = fh.read()
-    r = _Reader(payload, path)
+    r = _Reader(path)
     magic = r.take(4, "magic")
     if magic != SASF_MAGIC:
         r.fail(f"bad magic {magic!r}, expected {SASF_MAGIC!r}", offset=0)
@@ -108,7 +120,7 @@ def load_sas_features(path, class_names=None) -> ScoreSequence:
     blocks = []
     for i in range(block_count):
         name_len = r.u16(f"block {i} name length")
-        name = r.take(name_len, f"block {i} name").decode("utf-8", errors="strict")
+        name = r.text(name_len, f"block {i} name")
         width = r.u32(f"block {i} width")
         names = class_names.get(name) if class_names else None
         blocks.append(ScoreBlock(name, width, tuple(names) if names else None))
@@ -117,8 +129,7 @@ def load_sas_features(path, class_names=None) -> ScoreSequence:
         r.fail(f"block widths sum to {widths}, header says D={d}")
     data_offset = r.pos
     raw = r.take(t * d * 4, "score payload")
-    if r.pos != len(payload):
-        r.fail(f"{len(payload) - r.pos} trailing bytes")
+    r.finish()
     matrix = np.frombuffer(raw, dtype="<f4").reshape(t, d)
     bad = ~np.isfinite(matrix)
     if bad.any():

@@ -16,12 +16,12 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
 from .errors import ConfigError, DataError, UsageError
-from .io import atomic_write_bytes
+from .io import _finite, _Reader, atomic_write_bytes
 from .optim import xavier_init
 from .tensor import (
     DTYPE,
@@ -192,26 +192,46 @@ class NetworkConfig:
 
     @classmethod
     def from_dict(cls, doc):
-        if not isinstance(doc, dict):
-            raise DataError("network config must be an object")
-        known = {
-            "feature_dim", "num_classes", "window_length", "base_arch", "base_filters",
-            "anchor_filters", "anchor_kernel", "pred_kernel", "ratios",
-            "center_scale", "width_scale", "delta_clamp",
-        }
-        unknown = set(doc) - known
-        if unknown:
-            raise DataError(f"network config has unknown keys {sorted(unknown)}")
-        doc = dict(doc)
+        doc = _json_fields(cls, doc, "network config")
         arch = doc.get("base_arch", "B")
         if not isinstance(arch, str):
-            doc["base_arch"] = tuple(
-                LayerSpec(l["kind"], l["kernel"], l["stride"], l.get("filters"))
-                for l in arch
-            )
+            if not isinstance(arch, list):
+                raise DataError("network config base_arch must be a preset name or a list")
+            doc["base_arch"] = tuple(LayerSpec(**_json_fields(LayerSpec, l, f"base_arch[{i}]"))
+                                     for i, l in enumerate(arch))
         if "ratios" in doc:
-            doc["ratios"] = tuple(tuple(r) for r in doc["ratios"])
+            if not isinstance(doc["ratios"], list) or not all(
+                    isinstance(r, list) for r in doc["ratios"]):
+                raise DataError("network config ratios must be a list of lists")
+            doc["ratios"] = tuple(tuple(_number(x, "network config ratio", False) for x in r)
+                                  for r in doc["ratios"])
         return cls(**doc)
+
+
+def _json_fields(cls, doc, what):
+    """A copy of the JSON object ``doc`` once its keys are fields of the
+    dataclass ``cls``, every field without a default is present, and every
+    int/float field holds a number of that kind; DataError otherwise."""
+    if not isinstance(doc, dict):
+        raise DataError(f"{what} must be an object")
+    unknown = set(doc) - {f.name for f in fields(cls)}
+    if unknown:
+        raise DataError(f"{what} has unknown keys {sorted(unknown)}")
+    for f in fields(cls):  # f.type is the annotation's text (postponed annotations)
+        if f.name not in doc and f.default is MISSING:
+            raise DataError(f"{what} is missing {f.name!r}")
+        if f.name in doc and f.type in ("int", "float") and not (doc[f.name] is f.default is None):
+            _number(doc[f.name], f"{what} {f.name!r}", f.type == "int")
+    return dict(doc)
+
+
+def _number(value, what, integer):
+    """``value`` if it is a finite JSON number, and an integer when
+    ``integer``; DataError otherwise (booleans are not numbers)."""
+    if _finite(value) is None or (integer and not isinstance(value, int)):
+        raise DataError(f"{what} must be {'an integer' if integer else 'a finite number'}, "
+                        f"got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -402,51 +422,33 @@ def save_checkpoint(network: Network, path):
 
 
 def load_checkpoint(path) -> Network:
-    with open(path, "rb") as fh:
-        payload = fh.read()
-    pos = 0
-
-    def fail(message):
-        raise DataError(f"{path}: {message} at byte {pos}")
-
-    def take(count, what):
-        nonlocal pos
-        if pos + count > len(payload):
-            fail(f"truncated {what} (need {count} bytes)")
-        out = payload[pos:pos + count]
-        pos += count
-        return out
-
-    if take(8, "magic") != CHECKPOINT_MAGIC:
-        pos = 0
-        fail(f"bad magic, expected {CHECKPOINT_MAGIC!r}")
-    version, config_len = struct.unpack("<II", take(8, "header"))
+    r = _Reader(path)
+    if r.take(8, "magic") != CHECKPOINT_MAGIC:
+        r.fail(f"bad magic, expected {CHECKPOINT_MAGIC!r}", offset=0)
+    version = r.u32("version")
     if version != CHECKPOINT_VERSION:
-        fail(f"unsupported checkpoint version {version}")
+        r.fail(f"unsupported checkpoint version {version}", offset=8)
+    config_offset = r.pos + 4
+    config_text = r.text(r.u32("config length"), "config")
     try:
-        config_doc = json.loads(take(config_len, "config").decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataError(f"{path}: unreadable config block ({exc})") from exc
-    try:
-        config = NetworkConfig.from_dict(config_doc)
-    except ConfigError as exc:
-        raise DataError(f"{path}: invalid network config ({exc})") from exc
+        config = NetworkConfig.from_dict(json.loads(config_text))
+    except (json.JSONDecodeError, ConfigError, DataError) as exc:
+        r.fail(f"invalid network config ({exc})", offset=config_offset)
 
     def read_parameter(expected, shape):
-        (name_len,) = struct.unpack("<H", take(2, "parameter name length"))
-        name = take(name_len, "parameter name").decode("utf-8")
+        offset = r.pos
+        name = r.text(r.u16("parameter name length"), "parameter name")
         if name != expected:
-            fail(f"expected parameter {expected!r}, found {name!r}")
-        (count,) = struct.unpack("<I", take(4, "parameter count"))
+            r.fail(f"expected parameter {expected!r}, found {name!r}", offset=offset)
+        count = r.u32("parameter count")
         size = math.prod(shape)
         if count != size:
-            fail(f"parameter {name!r} has {count} values, expected {size}")
-        raw = take(count * 8, f"values of {name!r}")
+            r.fail(f"parameter {name!r} has {count} values, expected {size}")
+        raw = r.take(count * 8, f"values of {name!r}")
         return np.frombuffer(raw, dtype="<f8").astype(DTYPE).reshape(shape)
 
     # the parameters come straight from the file, with no initialisation
     network = Network.__new__(Network)
     network._build(config, read_parameter)
-    if pos != len(payload):
-        fail(f"{len(payload) - pos} trailing bytes")
+    r.finish()
     return network

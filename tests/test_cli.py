@@ -1,10 +1,13 @@
 import json
+import shutil
+import struct
 
 import numpy as np
 import pytest
 
 from tadkit.cli import main, parse_thresholds
 from tadkit.io import load_predictions, load_sas_features
+from tadkit.model import Network, NetworkConfig, save_checkpoint
 
 TINY = {
     "synth.train_videos": 3,
@@ -170,6 +173,78 @@ class TestMalformedJson:
         ann.write_text(json.dumps(valid_annotations()))
         preds.write_text(json.dumps(valid_predictions()))
         assert run("eval", "--predictions", str(preds), "--annotations", str(ann)) == 0
+
+
+@pytest.fixture(scope="module")
+def tiny_inputs(tmp_path_factory):
+    """A TINY dataset and a checkpoint of a network that fits it."""
+    root = tmp_path_factory.mktemp("tiny")
+    config = root / "tiny.json"
+    config.write_text(json.dumps(TINY))
+    assert main(["synth", "--out", str(root / "data"), "--config", str(config)]) == 0
+    network = Network(NetworkConfig(feature_dim=6, num_classes=2, window_length=128,
+                                    base_filters=6, anchor_filters=8), seed=0)
+    save_checkpoint(network, root / "model.ckpt")
+    return root
+
+
+def edit_checkpoint_config(edit):
+    def apply(data, checkpoint):
+        payload = checkpoint.read_bytes()
+        (size,) = struct.unpack_from("<I", payload, 12)
+        doc = json.loads(payload[16:16 + size])
+        edit(doc)
+        config = json.dumps(doc).encode()
+        checkpoint.write_bytes(
+            payload[:12] + struct.pack("<I", len(config)) + config + payload[16 + size:])
+    return apply
+
+
+def non_utf8_parameter_name(data, checkpoint):
+    payload = bytearray(checkpoint.read_bytes())
+    (size,) = struct.unpack_from("<I", payload, 12)
+    payload[16 + size + 2] = 0xFF  # first byte of the first parameter name
+    checkpoint.write_bytes(bytes(payload))
+
+
+def non_utf8_block_name(data, checkpoint):
+    path = data / "features" / "test_000.sasf"
+    payload = bytearray(path.read_bytes())
+    payload[22] = 0xFF  # the one-byte name of the first block
+    path.write_bytes(bytes(payload))
+
+
+class TestMalformedPredictInputs:
+    """Malformed checkpoints and feature files exit 2 with an error line,
+    never with a traceback, and leave no prediction file."""
+
+    @pytest.mark.parametrize("corrupt", [
+        edit_checkpoint_config(lambda doc: doc.update(feature_dim="6")),
+        edit_checkpoint_config(lambda doc: doc.update(
+            base_arch=[{"kind": "conv", "stride": 1, "filters": None}])),
+        non_utf8_parameter_name,
+        non_utf8_block_name,
+    ], ids=["feature_dim-str", "layer-no-kernel", "parameter-name-utf8", "block-name-utf8"])
+    def test_predict_exits_2(self, tiny_inputs, tmp_path, capsys, corrupt):
+        data = tmp_path / "data"
+        checkpoint = tmp_path / "model.ckpt"
+        shutil.copytree(tiny_inputs / "data", data)
+        shutil.copy(tiny_inputs / "model.ckpt", checkpoint)
+        corrupt(data, checkpoint)
+        out = tmp_path / "predictions.json"
+        code = run("predict", "--data", str(data), "--checkpoint", str(checkpoint),
+                   "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_unbroken_inputs_predict(self, tiny_inputs, tmp_path, capsys):
+        out = tmp_path / "predictions.json"
+        assert run("predict", "--data", str(tiny_inputs / "data"), "--checkpoint",
+                   str(tiny_inputs / "model.ckpt"), "--out", str(out)) == 0
+        assert out.exists()
 
 
 class TestExitCodes:

@@ -6,7 +6,9 @@ from tadkit.data import (
     Detection, ScoreBlock, ScoreSequence, SynthConfig, slide_windows, synth_generate,
 )
 from tadkit.errors import ConfigError, DataError, UsageError
+import tadkit.inference
 from tadkit.inference import (
+    DECODE_STACK,
     PREDICTION_OVERLAP,
     FusionConfig,
     block_alignment,
@@ -306,3 +308,79 @@ class TestPredictVideo:
         seq = make_seq(np.zeros((200, 4)), [ScoreBlock("b", 4)], video_id="w")
         with pytest.raises(UsageError, match="dim"):
             predict_video(seq, self.net, self.categories, FusionConfig())
+
+
+class TestStackedDecode:
+    """Ten windows of 128 decode as two full stacks and a partial one."""
+
+    def setup_method(self):
+        cfg = SynthConfig(
+            num_videos=1, num_classes=2, block_names=("a", "b"),
+            min_video_length=992, max_video_length=992, min_instances=3, max_instances=5,
+            min_instance_length=60, max_instance_length=90, noise_sigma=0.05,
+        )
+        (self.seq,), _ = synth_generate(cfg, 5)
+        self.categories = cfg.category_names
+        self.net = Network(
+            NetworkConfig(feature_dim=6, num_classes=2, window_length=128,
+                          base_filters=6, anchor_filters=8),
+            seed=1,
+        )
+        self.windows = slide_windows(self.seq, None, 128, PREDICTION_OVERLAP, keep_empty=True)
+
+    def per_window_candidates(self, config):
+        """Each window decoded on its own, then the same array pipeline."""
+        t_v = self.seq.num_snippets
+        probs, overlap, starts, ends = [], [], [], []
+        for window in self.windows:
+            decoded = self.net.decode(window.features)
+            probs.append(softmax(decoded.class_logits).data)
+            overlap.append(decoded.overlap.data)
+            centers = window.start + decoded.centers.data * 128
+            widths = decoded.widths.data * 128
+            starts.append(np.clip(centers - widths / 2, 0.0, t_v))
+            ends.append(np.clip(centers + widths / 2, 0.0, t_v))
+        starts, ends = np.concatenate(starts), np.concatenate(ends)
+        live = ends > starts
+        starts, ends = starts[live], ends[live]
+        mean = mean_snippet_scores(self.seq, starts, ends, self.categories)
+        _, category, confidence = fuse_scores(
+            np.concatenate(probs)[live], np.concatenate(overlap)[live], mean, config)
+        return [Detection(self.seq.video_id, float(s), float(e), int(c), float(f))
+                for s, e, c, f in zip(starts, ends, category, confidence)]
+
+    @staticmethod
+    def assert_close(got, want):
+        assert len(got) == len(want)
+        assert [d.category for d in got] == [d.category for d in want]
+        assert_allclose([(d.start, d.end) for d in got], [(d.start, d.end) for d in want],
+                        rtol=0, atol=1e-12)
+        assert_allclose([d.confidence for d in got], [d.confidence for d in want], rtol=1e-12)
+
+    def test_matches_per_window_decode(self, monkeypatch):
+        assert len(self.windows) == 10 and len(self.windows) % DECODE_STACK
+        shapes, candidates = [], []
+        decode = self.net.decode
+
+        def spy_decode(features):
+            shapes.append(features.shape)
+            return decode(features)
+
+        def spy_nms(detections, threshold):
+            candidates.append(detections)
+            return nms(detections, threshold)
+
+        monkeypatch.setattr(self.net, "decode", spy_decode)
+        monkeypatch.setattr(tadkit.inference, "nms", spy_nms)
+        config = FusionConfig()
+        got = predict_video(self.seq, self.net, self.categories, config)
+        assert shapes == [(min(DECODE_STACK, 10 - first), 128, 6)
+                          for first in range(0, 10, DECODE_STACK)]
+        assert len(shapes) > 1 and shapes[-1][0] < DECODE_STACK
+
+        want = self.per_window_candidates(config)
+        self.assert_close(candidates[0], want)
+        kept = nms(want, config.nms_threshold)
+        kept.sort(key=lambda d: (-d.confidence, d.start))
+        self.assert_close(got, kept)
+        assert predict_video(self.seq, self.net, self.categories, config) == got

@@ -15,6 +15,7 @@ from tadkit.io import (
     save_predictions,
     save_sas_features,
 )
+from tadkit.model import Network, NetworkConfig, load_checkpoint, save_checkpoint
 
 
 def sasf_bytes(t=2, d=4, blocks=(("b", 4),), payload=None, version=1, magic=b"SASF"):
@@ -94,11 +95,65 @@ class TestSasf:
         with pytest.raises(DataError, match=f"at byte {27 + 20}"):
             load_sas_features(path)
 
+    def test_non_utf8_block_name_reports_byte_offset(self, tmp_path):
+        payload = bytearray(sasf_bytes(blocks=(("ab", 4),)))
+        payload[22:24] = b"\xff\xfe"  # the name follows the 20-byte header and its length
+        path = tmp_path / "x.sasf"
+        path.write_bytes(bytes(payload))
+        with pytest.raises(DataError, match="block 0 name is not valid UTF-8 at byte 22"):
+            load_sas_features(path)
+
     def test_empty_matrix_rejected(self, tmp_path):
         path = tmp_path / "x.sasf"
         path.write_bytes(sasf_bytes(t=0, payload=b""))
         with pytest.raises(DataError, match="empty matrix"):
             load_sas_features(path)
+
+
+class TestMutatedFiles:
+    """Seeded mutations of valid SASF and checkpoint files: each either
+    loads or raises DataError, never another exception."""
+
+    @staticmethod
+    def mutants(payload, seed, count=300):
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            if rng.random() < 0.2:
+                yield payload[:rng.integers(len(payload))]
+                continue
+            mutant = bytearray(payload)
+            # half the flips land in the first 512 bytes, where the headers,
+            # the names and the checkpoint's config are
+            span = 512 if rng.random() < 0.5 else len(payload)
+            for i in rng.integers(min(span, len(payload)), size=rng.integers(1, 4)):
+                mutant[i] = rng.integers(256)
+            yield bytes(mutant)
+
+    def assert_loads_or_data_error(self, path, load, seed):
+        payload = path.read_bytes()
+        rejected = 0
+        for mutant in self.mutants(payload, seed):
+            path.write_bytes(mutant)
+            try:
+                load(path)
+            except DataError:
+                rejected += 1
+        assert rejected > 0
+
+    def test_sasf(self, tmp_path):
+        rng = np.random.default_rng(0)
+        seq = ScoreSequence("v", rng.uniform(size=(20, 6)),
+                            [ScoreBlock("rgb", 2), ScoreBlock("flow", 4)])
+        path = tmp_path / "v.sasf"
+        save_sas_features(seq, path)
+        self.assert_loads_or_data_error(path, load_sas_features, seed=1)
+
+    def test_checkpoint(self, tmp_path):
+        config = NetworkConfig(feature_dim=6, num_classes=2, window_length=128,
+                               base_filters=2, anchor_filters=2, base_arch="E")
+        path = tmp_path / "x.ckpt"
+        save_checkpoint(Network(config, seed=0), path)
+        self.assert_loads_or_data_error(path, load_checkpoint, seed=2)
 
 
 class TestAnnotationsJson:

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -240,6 +243,57 @@ class TestCheckpoint:
         save_checkpoint(net, path)
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(DataError, match="trailing"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"feature_dim": "6"}, "'feature_dim' must be an integer"),
+        ({"feature_dim": 6.0}, "'feature_dim' must be an integer"),
+        ({"num_classes": True}, "'num_classes' must be an integer"),
+        ({"feature_dim": None}, "'feature_dim' must be an integer"),
+        ({"center_scale": "0.1"}, "'center_scale' must be a finite number"),
+        ({"delta_clamp": float("inf")}, "'delta_clamp' must be a finite number"),
+        ({"ratios": 5}, "ratios must be a list of lists"),
+        ({"ratios": [[1.0], [1.0], ["2"]]}, "ratio must be a finite number"),
+        ({"base_arch": 5}, "base_arch must be a preset name or a list"),
+        ({"base_arch": [5]}, r"base_arch\[0\] must be an object"),
+        ({"base_arch": [{"kind": "conv", "stride": 1}]}, r"base_arch\[0\] is missing 'kernel'"),
+        ({"base_arch": [{"kind": "conv", "kernel": 9, "stride": 1, "size": 2}]},
+         r"base_arch\[0\] has unknown keys \['size'\]"),
+        ({"base_arch": [{"kind": "conv", "kernel": "9", "stride": 1}]},
+         r"base_arch\[0\] 'kernel' must be an integer"),
+        ({"feature_dim": 0}, "feature_dim must be positive"),
+        ({"window_length": 200}, "multiple of 128"),
+    ])
+    def test_malformed_config_is_data_error(self, tmp_path, edit, message):
+        net = Network(small_config(), seed=0)
+        path = tmp_path / "x.ckpt"
+        save_checkpoint(net, path)
+        payload = path.read_bytes()
+        (size,) = struct.unpack_from("<I", payload, 12)
+        doc = json.loads(payload[16:16 + size])
+        doc.update(edit)
+        config = json.dumps(doc).encode()
+        path.write_bytes(payload[:12] + struct.pack("<I", len(config)) + config
+                         + payload[16 + size:])
+        with pytest.raises(DataError, match=message) as info:
+            load_checkpoint(path)
+        assert "at byte 16" in str(info.value)
+
+    def test_missing_config_key_is_data_error(self):
+        doc = small_config().to_dict()
+        del doc["feature_dim"]
+        with pytest.raises(DataError, match="missing 'feature_dim'"):
+            NetworkConfig.from_dict(doc)
+
+    def test_non_utf8_parameter_name_reports_byte_offset(self, tmp_path):
+        net = Network(small_config(), seed=0)
+        path = tmp_path / "x.ckpt"
+        save_checkpoint(net, path)
+        payload = bytearray(path.read_bytes())
+        (size,) = struct.unpack_from("<I", payload, 12)
+        payload[16 + size + 2] = 0xFF
+        path.write_bytes(bytes(payload))
+        with pytest.raises(DataError, match=f"parameter name is not valid UTF-8 at byte {16 + size + 2}"):
             load_checkpoint(path)
 
     def test_custom_arch_round_trips(self, tmp_path):
