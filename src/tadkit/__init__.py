@@ -60,7 +60,7 @@ from .model import (
     load_checkpoint,
     save_checkpoint,
 )
-from .optim import Adam, AdamState, xavier_init
+from .optim import Adam, xavier_init
 from .tensor import Parameter, Tensor, conv1d, maxpool1d, relu, sigmoid, softmax
 from .training import TrainConfig, TrainResult, build_training_batch, train
 

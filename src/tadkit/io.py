@@ -45,11 +45,11 @@ def atomic_write_text(path, text: str):
 
 
 class _Reader:
-    """Cursor over a file's bytes that raises DataError with the failing offset."""
+    """Cursor over a file's bytes (``take`` returns views) raising DataError at an offset."""
 
     def __init__(self, path):
         with open(path, "rb") as fh:
-            self.payload = fh.read()
+            self.payload = memoryview(fh.read())
         self.pos = 0
         self.path = path
 
@@ -74,7 +74,7 @@ class _Reader:
         """The next ``count`` bytes decoded as UTF-8."""
         offset = self.pos
         try:
-            return self.take(count, what).decode("utf-8")
+            return str(self.take(count, what), "utf-8")
         except UnicodeDecodeError:
             self.fail(f"{what} is not valid UTF-8", offset=offset)
 
@@ -106,7 +106,7 @@ def load_sas_features(path, class_names=None) -> ScoreSequence:
     """Parse an SASF file. ``class_names`` optionally maps each block name to
     a column-name tuple (the binary format does not carry column names)."""
     r = _Reader(path)
-    magic = r.take(4, "magic")
+    magic = bytes(r.take(4, "magic"))
     if magic != SASF_MAGIC:
         r.fail(f"bad magic {magic!r}, expected {SASF_MAGIC!r}", offset=0)
     version = r.u32("version")

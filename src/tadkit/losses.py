@@ -18,17 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericError, UsageError
-from .tensor import (
-    Tensor,
-    add,
-    logsumexp,
-    mul,
-    smooth_l1,
-    square,
-    take,
-    tmean,
-    tsum,
-)
+from .tensor import Tensor, logsumexp, mul, smooth_l1, square, take, tmean
 
 
 @dataclass(frozen=True)
@@ -107,10 +97,17 @@ def location_loss(centers, widths, target_centers, target_widths) -> Tensor:
 
 
 def l2_penalty(params) -> Tensor:
-    total = Tensor(0.0)
-    for p in params:
-        total = add(total, tsum(square(p)))
-    return total
+    """Sum of squares of every parameter as one graph node: the sum of
+    dot(p, p) forward, 2·g·p into each parameter backward."""
+    params = list(params)
+
+    def backward_fn(g):
+        for p in params:
+            if p.requires_grad:
+                p._accumulate(2.0 * float(g) * p.data)
+
+    return Tensor(sum(float(np.vdot(p.data, p.data)) for p in params), parents=params,
+                  backward_fn=backward_fn)
 
 
 def total_loss(batch: TrainingBatch, weights: LossWeights, params):

@@ -32,6 +32,7 @@ from .tensor import (
     concat,
     conv1d,
     exp,
+    flat_parameters,
     maxpool1d,
     mul,
     relu,
@@ -294,13 +295,13 @@ class Network:
         self._build(config, lambda name, shape: xavier_init(shape, rng))
 
     def _build(self, config, init):
-        """Lay out the network; ``init(name, shape)`` supplies each
-        parameter's values, in declaration order."""
+        """Lay out the network over one flat parameter vector; ``init(name,
+        shape)`` supplies each parameter's values, in declaration order."""
         self.config = config
         self._params = []
 
         def param(name, shape):
-            p = Parameter(init(name, shape), name=name)
+            p = Parameter(np.broadcast_to(0.0, shape), name=name)  # values set below
             self._params.append(p)
             return p
 
@@ -327,6 +328,9 @@ class Network:
             pb = param(f"pred.{f}.bias", (out_width,))
             self.heads.append((ak, ab, pk, pb))
             channels = config.anchor_filters
+        flat_parameters(self._params)
+        for p in self._params:
+            p.data[...] = init(p.name, p.data.shape)
 
         self.anchors = []
         for f, (m, ratios) in enumerate(zip(config.map_lengths, config.ratios)):
@@ -444,10 +448,9 @@ def load_checkpoint(path) -> Network:
         size = math.prod(shape)
         if count != size:
             r.fail(f"parameter {name!r} has {count} values, expected {size}")
-        raw = r.take(count * 8, f"values of {name!r}")
-        return np.frombuffer(raw, dtype="<f8").astype(DTYPE).reshape(shape)
+        return np.frombuffer(r.take(count * 8, f"values of {name!r}"), dtype="<f8").reshape(shape)
 
-    # the parameters come straight from the file, with no initialisation
+    # the file's values go straight into the flat vector, with no initialisation
     network = Network.__new__(Network)
     network._build(config, read_parameter)
     r.finish()

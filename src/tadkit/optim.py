@@ -1,14 +1,13 @@
-"""Adam optimizer and fan-based uniform (Xavier) initialization."""
+"""Adam over flat parameter vectors and fan-based uniform (Xavier) init."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, UsageError
-from .tensor import DTYPE, Parameter
+from .tensor import DTYPE, flat_parameters
 
 
 def _fans(shape) -> tuple[int, int]:
@@ -30,51 +29,54 @@ def xavier_init(shape, seed) -> np.ndarray:
         raise ConfigError(f"zero fan for shape {tuple(shape)}")
     a = math.sqrt(6.0 / (fan_in + fan_out))
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return rng.uniform(-a, a, size=tuple(shape)).astype(DTYPE)
+    return rng.uniform(-a, a, size=tuple(shape)).astype(DTYPE, copy=False)
 
 
-@dataclass
-class AdamState:
-    """Per-parameter moment estimates plus the shared step counter."""
-
-    learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    step_count: int = 0
-    first_moment: dict = field(default_factory=dict)
-    second_moment: dict = field(default_factory=dict)
+#: elements per block of ``Adam.step``: a block's six 256 KB rows stay in cache
+BLOCK = 32768
 
 
 class Adam:
-    """Adam with bias correction; deterministic given identical inputs."""
+    """Adam with bias correction (Kingma & Ba); deterministic given identical
+    inputs. ``step`` is one in-place pass, in blocks of ``BLOCK``, over flat
+    parameter, gradient and moment vectors (``tensor.flat_parameters``). It
+    rounds the same products and quotients in the same order as the
+    per-parameter textbook update, so its results are bit-identical to it."""
 
     def __init__(self, params, learning_rate, beta1=0.9, beta2=0.999, epsilon=1e-8):
         self.params = list(params)
         names = [p.name for p in self.params]
         if len(set(names)) != len(names):
             raise ConfigError("parameter names must be unique")
-        self.state = AdamState(learning_rate, beta1, beta2, epsilon)
-        for p in self.params:
-            self.state.first_moment[p.name] = np.zeros_like(p.data)
-            self.state.second_moment[p.name] = np.zeros_like(p.data)
+        self.beta1, self.beta2, self.epsilon = beta1, beta2, epsilon
+        self.learning_rate, self.step_count = learning_rate, 0
+        self.data, self.grad = flat_parameters(self.params)
+        self.first_moment, self.second_moment = np.zeros((2, self.data.size), dtype=DTYPE)
 
     def step(self):
         for p in self.params:
             if p.grad is None:
                 raise UsageError(f"adam step on unpopulated gradient for {p.name!r}")
-        s = self.state
-        s.step_count += 1
-        bc1 = 1.0 - s.beta1 ** s.step_count
-        bc2 = 1.0 - s.beta2 ** s.step_count
-        for p in self.params:
-            m = s.first_moment[p.name]
-            v = s.second_moment[p.name]
-            m *= s.beta1
-            m += (1.0 - s.beta1) * p.grad
-            v *= s.beta2
-            v += (1.0 - s.beta2) * (p.grad * p.grad)
-            p.data -= s.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + s.epsilon)
+            if p.grad is not p._grad_view:  # assigned rather than accumulated
+                p._grad_view[...] = p.grad
+        self.step_count += 1
+        bc1 = 1.0 - self.beta1 ** self.step_count
+        bc2 = 1.0 - self.beta2 ** self.step_count
+        scratch = np.empty((2, BLOCK), dtype=DTYPE)
+        for lo in range(0, self.data.size, BLOCK):
+            p, g, m, v = (x[lo:lo + BLOCK] for x in (
+                self.data, self.grad, self.first_moment, self.second_moment))
+            a, b = scratch[:, :p.size]
+            # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
+            m *= self.beta1
+            m += np.multiply(g, 1.0 - self.beta1, out=a)
+            v *= self.beta2
+            v += np.multiply(np.multiply(g, g, out=a), 1.0 - self.beta2, out=a)
+            # p -= lr (m / bc1) / (sqrt(v / bc2) + eps)
+            np.multiply(np.divide(m, bc1, out=a), self.learning_rate, out=a)
+            np.sqrt(np.divide(v, bc2, out=b), out=b)
+            b += self.epsilon
+            p -= np.divide(a, b, out=a)
 
     def zero_grad(self):
         for p in self.params:

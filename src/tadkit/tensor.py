@@ -6,7 +6,8 @@ the handful of elementwise/reduction ops that the losses are built from.
 Convolution and pooling also take a leading batch axis, (batch, time,
 channels), so a stack of windows runs as one graph with one GEMM per pass.
 Everything is float64 and numpy-backed; forward passes are pure functions
-of their inputs.
+of their inputs. Parameters and their gradients are views of two flat
+vectors (``flat_parameters``), so the optimizer works on whole vectors.
 """
 
 from __future__ import annotations
@@ -48,9 +49,6 @@ class Tensor:
     @property
     def size(self):
         return self.data.size
-
-    def item(self) -> float:
-        return float(self.data)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -128,16 +126,53 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """A named leaf tensor updated by the optimizer."""
+    """A named leaf tensor updated by the optimizer. Backward copies the
+    first gradient into the parameter's gradient view and adds later ones
+    in place, so ``grad`` is that view, or None for no gradient; an array
+    assigned to ``grad`` is copied into the view by ``Adam.step``."""
 
-    __slots__ = ("name",)
+    __slots__ = ("name", "_grad_view")
 
     def __init__(self, data, name):
         super().__init__(data, requires_grad=True)
         self.name = str(name)
+        self._grad_view = np.empty_like(self.data)  # until flat_parameters lays it out
 
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.data.shape})"
+
+    def _accumulate(self, g):
+        if self.grad is None:
+            self.grad = self._grad_view
+            self.grad[...] = g
+        elif self.grad is self._grad_view:
+            self.grad += g
+        else:  # an assigned array is summed out of place, as for any tensor
+            super()._accumulate(g)
+
+
+def flat_parameters(params):
+    """``(data, grad)``: flat vectors that the distinct ``params``' data and
+    gradients are views of. Parameters already laid out over one such pair
+    get it back; others are packed into new ones, values and gradients kept."""
+    params = list(params)
+    sizes = [p.data.size for p in params]
+    data, grad = (params[0].data.base, params[0]._grad_view.base) if params else (None, None)
+    if (isinstance(data, np.ndarray) and isinstance(grad, np.ndarray)
+            and all(p.data.base is data and p._grad_view.base is grad for p in params)
+            and sum(sizes) == data.size == grad.size):
+        return data, grad
+    data = np.empty(sum(sizes), dtype=DTYPE)
+    grad = np.zeros(data.size, dtype=DTYPE)  # calloc: pages stay unmapped until written
+    cuts = np.cumsum(sizes)[:-1]
+    for p, view, grad_view in zip(params, np.split(data, cuts), np.split(grad, cuts)):
+        view, grad_view = view.reshape(p.data.shape), grad_view.reshape(p.data.shape)
+        view[...] = p.data
+        if p.grad is p._grad_view:
+            grad_view[...] = p.grad
+            p.grad = grad_view
+        p.data, p._grad_view = view, grad_view
+    return data, grad
 
 
 def as_tensor(x) -> Tensor:

@@ -68,10 +68,6 @@ class TrainResult:
     history: list
     checkpoint_path: str = None
 
-    @property
-    def final_loss(self) -> float:
-        return self.history[-1].total
-
 
 def batch_from_selection(decoded_list, matches_list, selections) -> TrainingBatch:
     """Pool already-selected anchors (one (positives, negatives) index pair
@@ -129,7 +125,8 @@ def train(windows, network: Network, config: TrainConfig, out_dir=None, log_path
     ``out_dir`` when given, and one JSON line of epoch statistics to
     ``log_path``. On divergence (non-finite loss or loss above the
     configured limit) the last good parameters are checkpointed and
-    NumericError propagates.
+    NumericError propagates; the loss is checked before its backward pass
+    and step, so those are the current parameters.
     """
     windows = list(windows)
     if not windows:
@@ -148,17 +145,13 @@ def train(windows, network: Network, config: TrainConfig, out_dir=None, log_path
         os.makedirs(out_dir, exist_ok=True)
     log_fh = open(log_path, "a", encoding="utf-8") if log_path else None
 
-    last_good = [p.data.copy() for p in network.parameters]
-
     def abort_with_last_good(exc):
-        for p, saved in zip(network.parameters, last_good):
-            p.data[...] = saved
         path = None
         if out_dir:
             path = os.path.join(out_dir, "model.ckpt")
             save_checkpoint(network, path)
         raise NumericError(
-            f"training diverged; last good parameters {'saved to ' + path if path else 'restored'}"
+            f"training diverged; last good parameters {'saved to ' + path if path else 'kept'}"
             f" ({exc})"
         ) from exc
 
@@ -184,13 +177,10 @@ def train(windows, network: Network, config: TrainConfig, out_dir=None, log_path
                 except NumericError as exc:
                     abort_with_last_good(exc)
                 if parts["total"] > config.divergence_limit:
-                    abort_with_last_good(
-                        NumericError(f"loss {parts['total']:.3e} above {config.divergence_limit:.3e}")
-                    )
+                    abort_with_last_good(NumericError(
+                        f"loss {parts['total']:.3e} above {config.divergence_limit:.3e}"))
                 loss.backward()
                 adam.step()
-                for p, saved in zip(network.parameters, last_good):
-                    saved[...] = p.data
                 sums += [parts["total"], parts["class"], parts["overlap"],
                          parts["location"], parts["l2"]]
                 n_pos += batch.num_positives

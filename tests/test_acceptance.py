@@ -93,6 +93,7 @@ def test_criterion_1_readme_documents_benchmark_limitation():
     )
 
 
+@pytest.mark.slow
 def test_criterion_2_full_loss_gradient_check():
     """Analytic gradients of the complete training loss on a random synthetic
     window agree with central finite differences to < 1e-4 relative error,
@@ -357,6 +358,7 @@ def synthetic_pipeline(tmp_path_factory):
     return {"map_full": map_full, "map_class": map_class, "seconds": elapsed}
 
 
+@pytest.mark.slow
 def test_criterion_6_end_to_end_synthetic_convergence(synthetic_pipeline):
     """Default settings (seed 7, 50/20 videos, 3 classes, noise 0.1, 30
     epochs at lr 1e-4) reach mAP@0.5 >= 0.80 on the held-out split within
@@ -371,6 +373,7 @@ def test_criterion_6_end_to_end_synthetic_convergence(synthetic_pipeline):
     )
 
 
+@pytest.mark.slow
 def test_criterion_7_fusion_ablation_ordering(synthetic_pipeline):
     """Full fusion (class x snippet scores x overlap) scores at least as well
     as class scores alone on the held-out split."""

@@ -290,12 +290,14 @@ class TestExitCodes:
         assert run("synth", "--out", str(tmp_path / "d"), "--config", str(cfg)) == 1
         assert "train.speed" in capsys.readouterr().err
 
+    @pytest.mark.slow
     def test_gradcheck_failure_is_numeric_error(self, capsys):
         # an impossibly tight tolerance forces the failure path
         assert run("gradcheck", "--tolerance", "1e-18") == 3
         assert "gradient check failed" in capsys.readouterr().err
 
 
+@pytest.mark.slow
 def test_gradcheck_passes_at_default_tolerance(capsys):
     assert run("gradcheck") == 0
     out = capsys.readouterr().out

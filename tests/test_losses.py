@@ -12,7 +12,7 @@ from tadkit.losses import (
     overlap_loss,
     total_loss,
 )
-from tadkit.tensor import Parameter, Tensor
+from tadkit.tensor import Parameter, Tensor, mul
 
 from oracles import numeric_gradient
 
@@ -152,3 +152,16 @@ def test_l2_penalty_sums_squares():
     out = l2_penalty([a, b])
     out.backward()
     assert_allclose(a.grad, [2.0, -4.0])
+
+
+def test_l2_penalty_is_one_node_with_the_per_parameter_gradient():
+    rng = np.random.default_rng(0)
+    params = [Parameter(rng.normal(size=s), name=str(i))
+              for i, s in enumerate([(), (7,), (3, 4, 5)])]
+    out = l2_penalty(params)
+    assert out._parents == tuple(params)
+    assert_allclose(out.data, sum((p.data ** 2).sum() for p in params), rtol=1e-14)
+    mul(out, 1e-4).backward()
+    # the gradient a square -> sum chain per parameter produces, bit for bit
+    for p in params:
+        assert np.array_equal(p.grad, 2.0 * p.data * np.full(p.data.shape, 1e-4))

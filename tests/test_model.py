@@ -7,6 +7,8 @@ from numpy.testing import assert_allclose
 
 import tadkit.model
 from tadkit.errors import ConfigError, DataError, UsageError
+from tadkit.gradcheck import check_gradients
+from tadkit.losses import l2_penalty
 from tadkit.model import (
     BASE_ARCHITECTURES,
     LayerSpec,
@@ -16,6 +18,8 @@ from tadkit.model import (
     load_checkpoint,
     save_checkpoint,
 )
+from tadkit.optim import xavier_init
+from tadkit.tensor import flat_parameters, square, tmean
 
 
 def small_config(**kw):
@@ -179,6 +183,66 @@ class TestNetworkForward:
         }
         assert counts["C"] > counts["B"] > counts["E"]
         assert counts["A"] == counts["B"]  # same convs, pooling has no weights
+
+
+class TestFlatLayout:
+    """Parameters are views of one flat vector, gradients of another."""
+
+    @staticmethod
+    def assert_tiles(vector, views):
+        assert vector.ndim == 1 and vector.dtype == np.float64 and vector.flags.c_contiguous
+        offset = 0
+        for v in views:
+            assert v.base is vector and v.flags.c_contiguous
+            assert v.ctypes.data == vector.ctypes.data + 8 * offset
+            offset += v.size
+        assert offset == vector.size
+
+    def loss(self, net):
+        decoded = net.decode(np.random.default_rng(0).uniform(size=(2, 128, 6)))
+        return tmean(square(decoded.overlap)) + tmean(decoded.class_logits) + l2_penalty(
+            net.parameters)
+
+    def test_parameters_are_views_in_declaration_order(self):
+        net = Network(small_config(), seed=5)
+        params = net.parameters
+        self.assert_tiles(params[0].data.base, [p.data for p in params])
+        # the Xavier draws follow declaration order
+        rng = np.random.default_rng(5)
+        for p in params:
+            assert np.array_equal(p.data, xavier_init(p.data.shape, rng)), p.name
+
+    def test_gradients_are_views_of_one_vector(self):
+        net = Network(small_config(), seed=5)
+        self.loss(net).backward()
+        params = net.parameters
+        self.assert_tiles(params[0].grad.base, [p.grad for p in params])
+        data, grad = params[0].data.base, params[0].grad.base
+        same_data, same_grad = flat_parameters(params)
+        assert same_data is data and same_grad is grad  # handed back, not repacked
+        assert params[0].data.base is data
+
+    def test_checkpoint_round_trip_is_byte_identical(self, tmp_path):
+        net = Network(small_config(base_arch="C"), seed=2)
+        save_checkpoint(net, tmp_path / "a.ckpt")
+        back = load_checkpoint(tmp_path / "a.ckpt")
+        self.assert_tiles(back.parameters[0].data.base, [p.data for p in back.parameters])
+        save_checkpoint(back, tmp_path / "b.ckpt")
+        assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
+    def test_check_gradients_restores_the_views(self):
+        net = Network(small_config(), seed=5)
+        params = net.parameters
+        l2_penalty(params).backward()  # a gradient unlike the checked loss's
+        checked = params[-1]
+        data, grad = params[0].data.base.copy(), checked.grad.copy()
+        result = check_gradients(lambda: self.loss(net), [checked], step=1e-6)
+        assert result.max_rel_error < 1e-5
+        assert np.array_equal(params[0].data.base, data)
+        self.assert_tiles(params[0].data.base, [p.data for p in params])
+        # the check's own backward pass wrote into the view; the gradient
+        # the parameter had before comes back
+        assert np.array_equal(checked.grad, grad)
 
 
 class TestCheckpoint:

@@ -4,8 +4,8 @@ from numpy.testing import assert_allclose
 
 from tadkit.errors import ConfigError, NumericError, UsageError
 from tadkit.gradcheck import check_gradients
-from tadkit.optim import Adam, xavier_init
-from tadkit.tensor import Parameter, Tensor, conv1d, mul, relu, sigmoid, square, tmean, tsum
+from tadkit.optim import BLOCK, Adam, xavier_init
+from tadkit.tensor import Parameter, Tensor, add, conv1d, mul, relu, sigmoid, square, tmean, tsum
 
 from oracles import scalar_adam_trace
 
@@ -101,6 +101,91 @@ class TestAdam:
         p.grad = np.array(5.0)
         opt.step()
         assert_allclose(p.data, 0.7)
+
+
+class ReferenceAdam:
+    """The per-parameter, out-of-place Adam loop: one moment pair per array,
+    and a full-size temporary for every product and quotient."""
+
+    def __init__(self, values, learning_rate, beta1=0.9, beta2=0.999, epsilon=1e-8):
+        self.values = [np.array(v, dtype=float) for v in values]
+        self.first = [np.zeros_like(v) for v in self.values]
+        self.second = [np.zeros_like(v) for v in self.values]
+        self.lr, self.beta1, self.beta2, self.epsilon = learning_rate, beta1, beta2, epsilon
+        self.count = 0
+
+    def step(self, grads):
+        self.count += 1
+        bc1 = 1.0 - self.beta1 ** self.count
+        bc2 = 1.0 - self.beta2 ** self.count
+        for x, m, v, g in zip(self.values, self.first, self.second, grads):
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (g * g)
+            x -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.epsilon)
+
+
+class TestFlatAdam:
+    """The blocked in-place update against the per-parameter reference."""
+
+    SHAPES = ((), (1000,), (9, 64, 64))  # a scalar, a vector and a conv kernel
+
+    def make_params(self, seed=0):
+        rng = np.random.default_rng(seed)
+        return [Parameter(rng.normal(size=s), name=f"p{i}") for i, s in enumerate(self.SHAPES)]
+
+    def test_sizes_cross_a_block_boundary(self):
+        total = sum(p.data.size for p in self.make_params())
+        assert total > BLOCK and total % BLOCK != 0
+
+    def test_bare_parameters_are_packed_with_their_values(self):
+        params = self.make_params()
+        before = [p.data.copy() for p in params]
+        opt = Adam(params, learning_rate=0.01)
+        offset = 0
+        for p, b in zip(params, before):
+            assert p.data.base is opt.data
+            assert p.data.ctypes.data == opt.data.ctypes.data + 8 * offset
+            assert np.array_equal(p.data, b)
+            offset += p.data.size
+        assert offset == opt.data.size
+
+    def test_assigned_gradients_match_reference(self):
+        params = self.make_params(1)
+        ref = ReferenceAdam([p.data for p in params], learning_rate=0.01)
+        opt = Adam(params, learning_rate=0.01)
+        rng = np.random.default_rng(2)
+        for _ in range(5):
+            grads = [rng.normal(scale=3.0, size=s) for s in self.SHAPES]
+            for p, g in zip(params, grads):
+                p.grad = g
+            opt.step()
+            ref.step(grads)
+            for p, x in zip(params, ref.values):
+                assert np.array_equal(p.data, x), p.name
+
+    def test_backward_gradients_match_reference(self):
+        params = self.make_params(3)
+        ref = ReferenceAdam([p.data for p in params], learning_rate=0.03)
+        opt = Adam(params, learning_rate=0.03)
+        weights = [np.random.default_rng(4).normal(size=s) for s in self.SHAPES]
+        for _ in range(5):
+            opt.zero_grad()
+            assert all(p.grad is None for p in params)
+            loss = Tensor(0.0)
+            for p, w in zip(params, weights):
+                loss = add(loss, tsum(add(mul(p, w), square(p))))
+            loss.backward()
+            grads = []
+            for p, w in zip(params, weights):
+                assert p.grad.base is opt.grad
+                assert_allclose(p.grad, w + 2.0 * p.data, rtol=1e-12)
+                grads.append(p.grad.copy())
+            opt.step()
+            ref.step(grads)
+            for p, x in zip(params, ref.values):
+                assert np.array_equal(p.data, x), p.name
 
 
 class TestCheckGradients:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import tadkit.training
 from tadkit.data import SynthConfig, shuffle_training_set, slide_windows, synth_generate
 from tadkit.errors import NumericError, UsageError
 from tadkit.losses import LossWeights, total_loss
@@ -126,6 +127,34 @@ class TestTrainLoop:
         # nothing ever stepped, so the last good state is the initial one
         for p, b in zip(saved.parameters, initial):
             assert np.array_equal(p.data, b)
+
+    def test_divergence_after_steps_checkpoints_the_last_completed_step(
+            self, tmp_path, monkeypatch):
+        windows = tiny_dataset()[:4]  # two minibatches of 2 per epoch
+        config = dict(learning_rate=1e-2, batch_size=2, checkpoint_every=0)
+        initial = [p.data.copy() for p in tiny_network(seed=4).parameters]
+        two_steps = tiny_network(seed=4)
+        train(windows, two_steps, TrainConfig(epochs=1, **config), out_dir=tmp_path / "ok")
+
+        calls = []
+
+        def diverging_loss(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise NumericError("non-finite training loss")
+            return total_loss(*args, **kwargs)
+
+        monkeypatch.setattr(tadkit.training, "total_loss", diverging_loss)
+        net = tiny_network(seed=4)
+        with pytest.raises(NumericError, match="diverged"):
+            train(windows, net, TrainConfig(epochs=2, **config), out_dir=tmp_path / "bad")
+        assert len(calls) == 3
+        saved = (tmp_path / "bad" / "model.ckpt").read_bytes()
+        assert saved == (tmp_path / "ok" / "model.ckpt").read_bytes()
+        for p, q, b in zip(load_checkpoint(tmp_path / "bad" / "model.ckpt").parameters,
+                           two_steps.parameters, initial):
+            assert np.array_equal(p.data, q.data), p.name
+            assert not np.array_equal(p.data, b), p.name  # two steps really moved it
 
     def test_epoch_log_is_json_lines(self, tmp_path):
         windows = tiny_dataset()[:4]
