@@ -36,8 +36,7 @@ def check_gradients(
     """
     params = list(params)
     originals = [p.data.copy() for p in params]
-    # copies: the backward pass below writes into the gradient views
-    saved_grads = [None if p.grad is None else p.grad.copy() for p in params]
+    saved_grads = [None if p.grad is None else p.grad.copy() for p in params]  # views get rewritten
     try:
         for p in params:
             p.grad = None

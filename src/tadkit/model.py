@@ -301,7 +301,7 @@ class Network:
         self._params = []
 
         def param(name, shape):
-            p = Parameter(np.broadcast_to(0.0, shape), name=name)  # values set below
+            p = Parameter(init(name, shape), name=name)
             self._params.append(p)
             return p
 
@@ -328,9 +328,7 @@ class Network:
             pb = param(f"pred.{f}.bias", (out_width,))
             self.heads.append((ak, ab, pk, pb))
             channels = config.anchor_filters
-        flat_parameters(self._params)
-        for p in self._params:
-            p.data[...] = init(p.name, p.data.shape)
+        flat_parameters(self._params)  # packs the values in declaration order
 
         self.anchors = []
         for f, (m, ratios) in enumerate(zip(config.map_lengths, config.ratios)):

@@ -39,9 +39,8 @@ BLOCK = 32768
 class Adam:
     """Adam with bias correction (Kingma & Ba); deterministic given identical
     inputs. ``step`` is one in-place pass, in blocks of ``BLOCK``, over flat
-    parameter, gradient and moment vectors (``tensor.flat_parameters``). It
-    rounds the same products and quotients in the same order as the
-    per-parameter textbook update, so its results are bit-identical to it."""
+    parameter, gradient and moment vectors (``tensor.flat_parameters``), in
+    the per-parameter textbook update's operation order and bit-identical to it."""
 
     def __init__(self, params, learning_rate, beta1=0.9, beta2=0.999, epsilon=1e-8):
         self.params = list(params)
@@ -51,7 +50,7 @@ class Adam:
         self.beta1, self.beta2, self.epsilon = beta1, beta2, epsilon
         self.learning_rate, self.step_count = learning_rate, 0
         self.data, self.grad = flat_parameters(self.params)
-        self.first_moment, self.second_moment = np.zeros((2, self.data.size), dtype=DTYPE)
+        self.moments = np.zeros((2, self.data.size), dtype=DTYPE)  # first, second
 
     def step(self):
         for p in self.params:
@@ -64,8 +63,7 @@ class Adam:
         bc2 = 1.0 - self.beta2 ** self.step_count
         scratch = np.empty((2, BLOCK), dtype=DTYPE)
         for lo in range(0, self.data.size, BLOCK):
-            p, g, m, v = (x[lo:lo + BLOCK] for x in (
-                self.data, self.grad, self.first_moment, self.second_moment))
+            p, g, m, v = (x[lo:lo + BLOCK] for x in (self.data, self.grad, *self.moments))
             a, b = scratch[:, :p.size]
             # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
             m *= self.beta1

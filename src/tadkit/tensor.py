@@ -6,8 +6,7 @@ the handful of elementwise/reduction ops that the losses are built from.
 Convolution and pooling also take a leading batch axis, (batch, time,
 channels), so a stack of windows runs as one graph with one GEMM per pass.
 Everything is float64 and numpy-backed; forward passes are pure functions
-of their inputs. Parameters and their gradients are views of two flat
-vectors (``flat_parameters``), so the optimizer works on whole vectors.
+of their inputs; parameters and gradients are views of two flat vectors.
 """
 
 from __future__ import annotations
@@ -49,6 +48,9 @@ class Tensor:
     @property
     def size(self):
         return self.data.size
+
+    def item(self) -> float:
+        return float(self.data)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -126,10 +128,9 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """A named leaf tensor updated by the optimizer. Backward copies the
-    first gradient into the parameter's gradient view and adds later ones
-    in place, so ``grad`` is that view, or None for no gradient; an array
-    assigned to ``grad`` is copied into the view by ``Adam.step``."""
+    """A named leaf tensor updated by the optimizer. ``grad`` is None or its
+    gradient view: backward copies the first gradient in and adds later ones
+    in place (an array assigned to ``grad`` is copied in by ``Adam.step``)."""
 
     __slots__ = ("name", "_grad_view")
 
@@ -158,9 +159,8 @@ def flat_parameters(params):
     params = list(params)
     sizes = [p.data.size for p in params]
     data, grad = (params[0].data.base, params[0]._grad_view.base) if params else (None, None)
-    if (isinstance(data, np.ndarray) and isinstance(grad, np.ndarray)
-            and all(p.data.base is data and p._grad_view.base is grad for p in params)
-            and sum(sizes) == data.size == grad.size):
+    if all(isinstance(x, np.ndarray) and x.size == sum(sizes) for x in (data, grad)) and all(
+            p.data.base is data and p._grad_view.base is grad for p in params):
         return data, grad
     data = np.empty(sum(sizes), dtype=DTYPE)
     grad = np.zeros(data.size, dtype=DTYPE)  # calloc: pages stay unmapped until written

@@ -68,6 +68,10 @@ class TrainResult:
     history: list
     checkpoint_path: str = None
 
+    @property
+    def final_loss(self) -> float:
+        return self.history[-1].total
+
 
 def batch_from_selection(decoded_list, matches_list, selections) -> TrainingBatch:
     """Pool already-selected anchors (one (positives, negatives) index pair
@@ -177,8 +181,9 @@ def train(windows, network: Network, config: TrainConfig, out_dir=None, log_path
                 except NumericError as exc:
                     abort_with_last_good(exc)
                 if parts["total"] > config.divergence_limit:
-                    abort_with_last_good(NumericError(
-                        f"loss {parts['total']:.3e} above {config.divergence_limit:.3e}"))
+                    abort_with_last_good(
+                        NumericError(f"loss {parts['total']:.3e} above {config.divergence_limit:.3e}")
+                    )
                 loss.backward()
                 adam.step()
                 sums += [parts["total"], parts["class"], parts["overlap"],

@@ -222,9 +222,11 @@ class TestMalformedPredictInputs:
         edit_checkpoint_config(lambda doc: doc.update(feature_dim="6")),
         edit_checkpoint_config(lambda doc: doc.update(
             base_arch=[{"kind": "conv", "stride": 1, "filters": None}])),
+        edit_checkpoint_config(lambda doc: doc.update(anchor_filters=10**9)),
         non_utf8_parameter_name,
         non_utf8_block_name,
-    ], ids=["feature_dim-str", "layer-no-kernel", "parameter-name-utf8", "block-name-utf8"])
+    ], ids=["feature_dim-str", "layer-no-kernel", "anchor_filters-huge", "parameter-name-utf8",
+            "block-name-utf8"])
     def test_predict_exits_2(self, tiny_inputs, tmp_path, capsys, corrupt):
         data = tmp_path / "data"
         checkpoint = tmp_path / "model.ckpt"

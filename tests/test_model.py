@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,17 @@ def small_config(**kw):
                 base_filters=8, anchor_filters=8)
     base.update(kw)
     return NetworkConfig(**base)
+
+
+def edit_checkpoint_config(path, edit):
+    """Rewrite the JSON config of the checkpoint at ``path`` with ``edit`` applied."""
+    payload = path.read_bytes()
+    (size,) = struct.unpack_from("<I", payload, 12)
+    doc = json.loads(payload[16:16 + size])
+    doc.update(edit)
+    config = json.dumps(doc).encode()
+    path.write_bytes(payload[:12] + struct.pack("<I", len(config)) + config
+                     + payload[16 + size:])
 
 
 class TestAnchorGrid:
@@ -309,6 +321,22 @@ class TestCheckpoint:
         with pytest.raises(DataError, match="trailing"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("key", ["base_filters", "anchor_filters"])
+    def test_oversized_config_fails_before_allocating(self, tmp_path, key):
+        # a small file whose config declares ~10^10 values: each parameter's
+        # count is checked against the file before that parameter exists
+        path = tmp_path / "x.ckpt"
+        save_checkpoint(Network(small_config(), seed=0), path)
+        edit_checkpoint_config(path, {key: 10**9})
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match="values, expected"):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * path.stat().st_size + 2**20
+
     @pytest.mark.parametrize("edit, message", [
         ({"feature_dim": "6"}, "'feature_dim' must be an integer"),
         ({"feature_dim": 6.0}, "'feature_dim' must be an integer"),
@@ -332,13 +360,7 @@ class TestCheckpoint:
         net = Network(small_config(), seed=0)
         path = tmp_path / "x.ckpt"
         save_checkpoint(net, path)
-        payload = path.read_bytes()
-        (size,) = struct.unpack_from("<I", payload, 12)
-        doc = json.loads(payload[16:16 + size])
-        doc.update(edit)
-        config = json.dumps(doc).encode()
-        path.write_bytes(payload[:12] + struct.pack("<I", len(config)) + config
-                         + payload[16 + size:])
+        edit_checkpoint_config(path, edit)
         with pytest.raises(DataError, match=message) as info:
             load_checkpoint(path)
         assert "at byte 16" in str(info.value)
