@@ -41,8 +41,8 @@ features = np.random.default_rng(1).uniform(size=(config.window_length, 12))
 decoded = network.decode(features)
 centers = decoded.centers.data
 widths = decoded.widths.data
-defaults_c = np.array([a.center for a in network.anchors])
-defaults_w = np.array([a.width for a in network.anchors])
+defaults_c = network.anchors.center   # the anchor grid is one record array
+defaults_w = network.anchors.width
 print("\nfresh network, max |center - default|:",
       f"{np.abs(centers - defaults_c).max():.4f}")
 print("fresh network, max width ratio:      ",

@@ -49,10 +49,9 @@ from .losses import (
     overlap_loss,
     total_loss,
 )
-from .matching import MatchedAnchor, hard_negative_mine, match_anchors, segment_iou_matrix
+from .matching import hard_negative_mine, match_anchors, segment_iou_matrix
 from .model import (
     BASE_ARCHITECTURES,
-    Anchor,
     LayerSpec,
     Network,
     NetworkConfig,

@@ -29,10 +29,9 @@ from .io import (
     save_predictions,
     save_sas_features,
 )
-from .losses import LossWeights, total_loss
-from .matching import hard_negative_mine, match_anchors
+from .losses import LossWeights
 from .model import BASE_ARCHITECTURES, Network, NetworkConfig, load_checkpoint
-from .training import TrainConfig, batch_from_selection, train
+from .training import TrainConfig, fixed_selection_loss, train
 
 DEFAULTS = {
     "seed": 7,
@@ -342,17 +341,7 @@ def cmd_gradcheck(args) -> int:
     rng = np.random.default_rng(seed)
     features = rng.uniform(0.0, 1.0, size=(config.window_length, config.feature_dim))
     targets = [ActionInstance(0.18, 0.47, 1), ActionInstance(0.60, 0.82, 2)]
-    matched = match_anchors(network.anchors, targets)
-    decoded = network.decode(features)
-    selection = hard_negative_mine(matched, decoded.overlap.data, rng)
-    weights = LossWeights()
-
-    def loss_fn():
-        d = network.decode(features)
-        batch = batch_from_selection([d], [matched], [selection])
-        loss, _ = total_loss(batch, weights, network.parameters)
-        return loss
-
+    loss_fn, _ = fixed_selection_loss(network, features, targets, rng)
     result = check_gradients(loss_fn, network.parameters, step=1e-5)
     print(
         f"checked {network.num_parameters} coordinates: max relative error "

@@ -31,16 +31,19 @@ def check_gradients(
     """Compare analytic gradients of ``loss_fn`` against central differences.
 
     ``loss_fn`` must rebuild the forward graph on every call (it is invoked
-    twice per parameter coordinate). Parameters are restored bit-exactly, so
-    the check never mutates them.
+    twice per parameter coordinate). Parameters and the gradients of every
+    parameter the loss reaches are restored bit-exactly, so the check never
+    mutates them.
     """
     params = list(params)
     originals = [p.data.copy() for p in params]
-    saved_grads = [None if p.grad is None else p.grad.copy() for p in params]  # views get rewritten
+    loss = loss_fn()
+    touched = list({id(p): p for p in params + _reached_parameters(loss)}.values())
+    # copies: the check's own backward pass rewrites the gradient views
+    saved_grads = [None if p.grad is None else p.grad.copy() for p in touched]
     try:
-        for p in params:
+        for p in touched:
             p.grad = None
-        loss = loss_fn()
         loss.backward()
         analytic = {}
         for p in params:
@@ -71,6 +74,20 @@ def check_gradients(
                 worst, worst_param = err, p.name
         return GradCheckResult(worst, worst_param, per_param)
     finally:
-        for p, orig, g in zip(params, originals, saved_grads):
+        for p, orig in zip(params, originals):
             p.data[...] = orig
+        for p, g in zip(touched, saved_grads):
             p.grad = g
+
+
+def _reached_parameters(loss):
+    """Every Parameter in the graph behind ``loss``."""
+    found, seen, stack = [], set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            if isinstance(node, Parameter):
+                found.append(node)
+            stack.extend(node._parents)
+    return found

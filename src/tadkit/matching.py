@@ -2,6 +2,8 @@
 
 Matching always runs against the default anchor geometry, never against
 decoded predictions, so assignments depend only on the window's targets.
+Anchors, matches and mining all work on arrays: one IoU matrix per
+window, one record array of matches, and selections as flat indices.
 An anchor is positive when its best IoU exceeds 0.5; everything else is
 a negative that still remembers its best IoU (the overlap regression
 target). Ties between equally good targets go to the one with the
@@ -11,7 +13,6 @@ earliest start, then the lowest category.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,43 +36,28 @@ def segment_iou_matrix(starts_a, ends_a, starts_b, ends_b):
     return inter / union
 
 
-@dataclass(frozen=True)
-class MatchedAnchor:
-    """Assignment record for one anchor. Label 0 marks a negative; the
-    target center/width are those of the best-overlapping ground truth."""
-
-    anchor_index: int
-    label: int
-    iou: float
-    target_center: float
-    target_width: float
-
-
 def match_anchors(anchors, targets):
     """Assign every anchor to the window's ground truth.
 
-    Returns one MatchedAnchor per anchor, in anchor order. There is no
-    fallback that forces a best anchor per target: a target all of whose
-    IoUs fall below the threshold simply trains nothing that step.
+    ``anchors`` is an anchor grid, or any record array with ``start`` and
+    ``end`` fields. Returns a record array with one entry per anchor, in
+    anchor order, with fields ``label`` (0 marks a negative), ``iou`` (the
+    best IoU) and ``target_center``/``target_width`` (of the best target).
+    There is no fallback that forces a best anchor per target: a target
+    all of whose IoUs fall below the threshold simply trains nothing that
+    step.
     """
-    targets = list(targets)
+    targets = sorted(targets, key=lambda t: (t.start, t.category))
     if not targets:
         raise UsageError("match_anchors requires at least one target")
-    order = sorted(range(len(targets)), key=lambda i: (targets[i].start, targets[i].category))
-    targets = [targets[i] for i in order]
-
-    iou = segment_iou_matrix(
-        [a.start for a in anchors], [a.end for a in anchors],
-        [t.start for t in targets], [t.end for t in targets],
-    )
+    starts, ends, categories = np.array([(t.start, t.end, t.category) for t in targets]).T
+    iou = segment_iou_matrix(anchors.start, anchors.end, starts, ends)
     best = iou.argmax(axis=1)  # first max wins; targets are tie-ordered
-    out = []
-    for i, a in enumerate(anchors):
-        t = targets[best[i]]
-        best_iou = float(iou[i, best[i]])
-        label = t.category if best_iou > POSITIVE_IOU else 0
-        out.append(MatchedAnchor(i, label, best_iou, (t.start + t.end) / 2, t.end - t.start))
-    return out
+    best_iou = iou[np.arange(len(best)), best]
+    label = np.where(best_iou > POSITIVE_IOU, categories[best], 0).astype(int)
+    return np.rec.fromarrays(
+        [label, best_iou, (starts[best] + ends[best]) / 2, ends[best] - starts[best]],
+        names="label,iou,target_center,target_width")
 
 
 def hard_negative_mine(matched, overlap_scores, rng):
@@ -80,16 +66,29 @@ def hard_negative_mine(matched, overlap_scores, rng):
     All positives are kept. Hard negatives — negatives whose predicted
     overlap exceeds 0.5 — are all kept; if they fall short of the number
     of positives, randomly sampled easy negatives make up the difference
-    so negatives and positives are balanced. Returns (positive_indices,
-    negative_indices) as sorted int arrays.
+    so negatives and positives are balanced. ``matched`` and
+    ``overlap_scores`` are one window's (N,) arrays or a (B, N) stack,
+    mined row by row in order. Returns (positive_indices,
+    negative_indices) as sorted int arrays of flat indices into
+    ``matched``.
     """
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
     overlap_scores = np.asarray(overlap_scores, dtype=float)
-    if overlap_scores.shape != (len(matched),):
+    labels = matched.label
+    if overlap_scores.shape != labels.shape:
         raise UsageError(
-            f"need one overlap score per anchor, got {overlap_scores.shape} for {len(matched)}"
+            f"need one overlap score per anchor, got {overlap_scores.shape} for {labels.shape}"
         )
-    labels = np.array([m.label for m in matched])
+    n = labels.shape[-1]
+    pos, neg = [], []
+    for b, (lab, scores) in enumerate(zip(labels.reshape(-1, n), overlap_scores.reshape(-1, n))):
+        p, q = _mine_window(lab, scores, rng)
+        pos.append(p + b * n)
+        neg.append(q + b * n)
+    return np.concatenate(pos), np.concatenate(neg)
+
+
+def _mine_window(labels, overlap_scores, rng):
     pos = np.flatnonzero(labels > 0)
     neg = np.flatnonzero(labels == 0)
 

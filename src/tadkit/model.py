@@ -7,8 +7,10 @@ T_w/64 and T_w/128. Each map cell carries a set of anchor segments of
 fixed aspect ratios; a linear prediction convolution emits, per anchor,
 K+1 class scores, an overlap logit, and center/width offsets.
 
-Anchors are ordered cell-major then ratio, which is exactly the row-major
-reshape of the prediction map — downstream code relies on that alignment.
+``Network.anchors`` is one record array of default segments (center,
+width, layer, cell, ratio, start, end), ordered map by map, cell-major then
+ratio, which is exactly the row-major reshape of the prediction maps —
+downstream code relies on that alignment.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .errors import ConfigError, DataError, UsageError
 from .io import _finite, _Reader, atomic_write_bytes
 from .optim import xavier_init
 from .tensor import (
-    DTYPE,
     Parameter,
     Tensor,
     as_tensor,
@@ -38,7 +39,6 @@ from .tensor import (
     relu,
     reshape,
     sigmoid,
-    take,
 )
 
 CHECKPOINT_MAGIC = b"SSADCKPT"
@@ -235,35 +235,20 @@ def _number(value, what, integer):
     return value
 
 
-@dataclass(frozen=True)
-class Anchor:
-    """A default segment: center/width normalized to the window."""
-
-    layer: int
-    cell: int
-    ratio: float
-    center: float
-    width: float
-
-    @property
-    def start(self) -> float:
-        return self.center - self.width / 2
-
-    @property
-    def end(self) -> float:
-        return self.center + self.width / 2
-
-
 def anchor_grid(map_length, ratios, layer=0):
-    """Anchors for one map, cell-major then ratio: cell m gets center
-    (m + 0.5) / M and one anchor of width r / M per ratio r."""
+    """Anchors for one map as a record array with fields center, width,
+    layer, cell, ratio, start and end (center ∓ width / 2), cell-major then
+    ratio: cell m gets center (m + 0.5) / M and one anchor of width r / M
+    per ratio r."""
     if map_length < 1:
         raise ConfigError(f"map_length must be positive, got {map_length}")
-    out = []
-    for m in range(map_length):
-        for r in ratios:
-            out.append(Anchor(layer, m, float(r), (m + 0.5) / map_length, float(r) / map_length))
-    return out
+    cell = np.repeat(np.arange(map_length), len(ratios))
+    ratio = np.tile(np.asarray(ratios, dtype=float), map_length)
+    center = (cell + 0.5) / map_length
+    width = ratio / map_length
+    return np.rec.fromarrays(
+        [center, width, np.full(cell.size, layer), cell, ratio, center - width / 2,
+         center + width / 2], names="center,width,layer,cell,ratio,start,end")
 
 
 @dataclass
@@ -278,13 +263,6 @@ class DecodedAnchors:
 
     def __len__(self):
         return self.overlap.data.shape[-1]
-
-    def window(self, b) -> "DecodedAnchors":
-        """Window ``b`` of a stacked decode, as differentiable views."""
-        return DecodedAnchors(
-            take(self.class_logits, b), take(self.overlap, b),
-            take(self.centers, b), take(self.widths, b),
-        )
 
 
 class Network:
@@ -330,11 +308,10 @@ class Network:
             channels = config.anchor_filters
         flat_parameters(self._params)  # packs the values in declaration order
 
-        self.anchors = []
-        for f, (m, ratios) in enumerate(zip(config.map_lengths, config.ratios)):
-            self.anchors.extend(anchor_grid(m, ratios, layer=f))
-        self._anchor_centers = np.array([a.center for a in self.anchors], dtype=DTYPE)
-        self._anchor_widths = np.array([a.width for a in self.anchors], dtype=DTYPE)
+        self.anchors = np.concatenate([
+            anchor_grid(m, ratios, layer=f)
+            for f, (m, ratios) in enumerate(zip(config.map_lengths, config.ratios))
+        ]).view(np.recarray)
 
     @property
     def parameters(self):
@@ -347,14 +324,6 @@ class Network:
     @property
     def num_anchors(self) -> int:
         return len(self.anchors)
-
-    @property
-    def anchor_centers(self):
-        return self._anchor_centers
-
-    @property
-    def anchor_widths(self):
-        return self._anchor_widths
 
     def forward(self, features):
         """Run one (T_w, D) window, or a (B, T_w, D) stack of windows,
@@ -388,10 +357,9 @@ class Network:
         """Forward plus anchor decoding, all differentiable.
 
         Takes one (T_w, D) window or a (B, T_w, D) stack; a stack decodes
-        as one graph whose fields have a leading window axis (see
-        ``DecodedAnchors.window``). Centers/widths stay in window-normalized
-        coordinates and are not clipped here; clipping happens only on
-        final video-level output.
+        as one graph whose fields have a leading window axis. Centers and
+        widths stay in window-normalized coordinates and are not clipped
+        here; clipping happens only on final video-level output.
         """
         cfg = self.config
         outputs = self.forward(features)
@@ -401,8 +369,8 @@ class Network:
         overlap = sigmoid(raw[..., kp])
         d_center = raw[..., kp + 1]
         d_width = clip(raw[..., kp + 2], -cfg.delta_clamp, cfg.delta_clamp)
-        anchor_widths = np.broadcast_to(self._anchor_widths, d_center.shape)
-        anchor_centers = np.broadcast_to(self._anchor_centers, d_center.shape)
+        anchor_widths = np.broadcast_to(self.anchors.width, d_center.shape)
+        anchor_centers = np.broadcast_to(self.anchors.center, d_center.shape)
         centers = mul(d_center, cfg.center_scale * anchor_widths) + anchor_centers
         widths = mul(exp(mul(d_width, cfg.width_scale)), anchor_widths)
         return DecodedAnchors(logits, overlap, centers, widths)
@@ -446,7 +414,13 @@ def load_checkpoint(path) -> Network:
         size = math.prod(shape)
         if count != size:
             r.fail(f"parameter {name!r} has {count} values, expected {size}")
-        return np.frombuffer(r.take(count * 8, f"values of {name!r}"), dtype="<f8").reshape(shape)
+        offset = r.pos
+        values = np.frombuffer(r.take(count * 8, f"values of {name!r}"), dtype="<f8")
+        finite = np.isfinite(values)
+        if not finite.all():
+            r.fail(f"parameter {name!r} has a non-finite value",
+                   offset=offset + 8 * int(finite.argmin()))
+        return values.reshape(shape)
 
     # the file's values go straight into the flat vector, with no initialisation
     network = Network.__new__(Network)

@@ -1,10 +1,11 @@
 """Training loop: shuffle, mine, descend, checkpoint.
 
 Anchor assignments depend only on the default geometry and the window's
-targets, so they are computed once up front. Each epoch reshuffles the
-windows and re-mines negatives (mining depends on current predictions).
-Each minibatch is decoded as one stacked graph and then mined and pooled
-window by window. Given the same windows, seed and config, two runs
+targets, so they are computed once up front, as one (windows, anchors)
+match array. Each epoch reshuffles the windows and re-mines negatives
+(mining depends on current predictions). Each minibatch is decoded as one
+stacked graph, mined window by window, and gathered with one take per
+field. Given the same windows, seed and config, two runs
 produce bit-identical checkpoints.
 """
 
@@ -68,53 +69,68 @@ class TrainResult:
     history: list
     checkpoint_path: str = None
 
-    @property
-    def final_loss(self) -> float:
-        return self.history[-1].total
-
 
 def batch_from_selection(decoded_list, matches_list, selections) -> TrainingBatch:
-    """Pool already-selected anchors (one (positives, negatives) index pair
-    per window) into a TrainingBatch. Useful when the mining decision must
-    stay fixed, e.g. while checking gradients."""
-    logits, overlaps, centers, widths = [], [], [], []
-    labels, ious, t_centers, t_widths = [], [], [], []
+    """Pool already-selected anchors into a TrainingBatch. Each decode (one
+    window or a stack) comes with its match array and the (positives,
+    negatives) flat indices ``hard_negative_mine`` picked from it. Each
+    field is gathered with one ``take`` per decode, in rows ordered window
+    by window as [positives, negatives]. Useful when the mining decision
+    must stay fixed, e.g. while checking gradients."""
+    logits, overlaps, centers, widths, chosen, positives = [], [], [], [], [], []
     for decoded, matched, (pos, neg) in zip(decoded_list, matches_list, selections):
-        sel = np.concatenate([pos, neg]).astype(int)
-        if sel.size == 0:
-            continue
-        logits.append(take(decoded.class_logits, sel))
-        overlaps.append(take(decoded.overlap, sel))
-        labels.append(np.array([matched[i].label for i in sel]))
-        ious.append(np.array([matched[i].iou for i in sel]))
-        if pos.size:
-            pos = np.asarray(pos, dtype=int)
-            centers.append(take(decoded.centers, pos))
-            widths.append(take(decoded.widths, pos))
-            t_centers.append(np.array([matched[i].target_center for i in pos]))
-            t_widths.append(np.array([matched[i].target_width for i in pos]))
-    if not logits:
+        pos = np.asarray(pos, dtype=int)
+        sel = np.concatenate([pos, np.asarray(neg, dtype=int)])
+        sel = sel[np.argsort(sel // matched.shape[-1], kind="stable")]  # window by window
+        rows, pos_rows = np.unravel_index(sel, matched.shape), np.unravel_index(pos, matched.shape)
+        logits.append(take(decoded.class_logits, rows))
+        overlaps.append(take(decoded.overlap, rows))
+        centers.append(take(decoded.centers, pos_rows))
+        widths.append(take(decoded.widths, pos_rows))
+        chosen.append(matched.reshape(-1)[sel])
+        positives.append(matched.reshape(-1)[pos])
+    chosen, positives = np.concatenate(chosen), np.concatenate(positives)
+    if not chosen.size:
         raise UsageError("training batch selected no anchors")
-    empty = np.array([], dtype=float)
     return TrainingBatch(
-        class_logits=concat(logits, axis=0),
-        labels=np.concatenate(labels),
-        overlap=concat(overlaps, axis=0),
-        target_iou=np.concatenate(ious),
-        pos_centers=concat(centers, axis=0) if centers else None,
-        pos_widths=concat(widths, axis=0) if widths else None,
-        pos_target_centers=np.concatenate(t_centers) if t_centers else empty,
-        pos_target_widths=np.concatenate(t_widths) if t_widths else empty,
+        class_logits=_join(logits),
+        labels=chosen["label"],
+        overlap=_join(overlaps),
+        target_iou=chosen["iou"],
+        pos_centers=_join(centers),
+        pos_widths=_join(widths),
+        pos_target_centers=positives["target_center"],
+        pos_target_widths=positives["target_width"],
     )
 
 
+def _join(tensors):
+    return tensors[0] if len(tensors) == 1 else concat(tensors, axis=0)
+
+
 def build_training_batch(decoded_list, matches_list, rng) -> TrainingBatch:
-    """Mine each window against its current overlap predictions, then pool."""
+    """Mine each decode against its current overlap predictions, then pool."""
     selections = [
         hard_negative_mine(matched, decoded.overlap.data, rng)
         for decoded, matched in zip(decoded_list, matches_list)
     ]
     return batch_from_selection(decoded_list, matches_list, selections)
+
+
+def fixed_selection_loss(network: Network, features, targets, rng):
+    """The training loss of one window with its mining held fixed, for
+    gradient checks. The window is matched and mined once (drawing from
+    ``rng``); each call of the returned closure decodes ``features`` afresh
+    and scores that selection with ``total_loss`` at the default weights.
+    Returns ``(loss_fn, selection)``."""
+    matched = match_anchors(network.anchors, targets)
+    selection = hard_negative_mine(matched, network.decode(features).overlap.data, rng)
+
+    def loss_fn():
+        batch = batch_from_selection([network.decode(features)], [matched], [selection])
+        return total_loss(batch, LossWeights(), network.parameters)[0]
+
+    return loss_fn, selection
 
 
 def _epoch_seeds(seed, epoch):
@@ -142,7 +158,8 @@ def train(windows, network: Network, config: TrainConfig, out_dir=None, log_path
                 f"window {w.video_id!r}@{w.start} has shape {w.features.shape}, "
                 f"network expects {want}"
             )
-    matches = [match_anchors(network.anchors, w.targets) for w in windows]
+    matches = np.stack([match_anchors(network.anchors, w.targets) for w in windows])
+    matches = matches.view(np.recarray)  # (windows, anchors)
 
     adam = Adam(network.parameters, learning_rate=config.learning_rate)
     if out_dir:
@@ -174,8 +191,7 @@ def train(windows, network: Network, config: TrainConfig, out_dir=None, log_path
                 chunk = order[lo:lo + config.batch_size]
                 adam.zero_grad()
                 stacked = network.decode(np.stack([windows[i].features for i in chunk]))
-                decoded = [stacked.window(b) for b in range(len(chunk))]
-                batch = build_training_batch(decoded, [matches[i] for i in chunk], mine_rng)
+                batch = build_training_batch([stacked], [matches[chunk]], mine_rng)
                 try:
                     loss, parts = total_loss(batch, config.weights, network.parameters)
                 except NumericError as exc:

@@ -8,7 +8,6 @@ default configuration once and shares the run with the ablation check.
 
 import json
 import time
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -39,8 +38,7 @@ from tadkit import (
 from tadkit.cli import main
 from tadkit.gradcheck import check_gradients
 from tadkit.losses import TrainingBatch
-from tadkit.matching import hard_negative_mine
-from tadkit.training import batch_from_selection
+from tadkit.training import fixed_selection_loss
 
 from oracles import brute_average_precision, brute_match, brute_nms
 
@@ -126,18 +124,10 @@ def test_criterion_2_full_loss_gradient_check():
     )
     network = Network(config, seed=3)
     params = network.parameters
-    matches = match_anchors(network.anchors, window.targets)
-    selection = hard_negative_mine(
-        matches, network.decode(window.features).overlap.data, np.random.default_rng(0)
+    loss_fn, selection = fixed_selection_loss(
+        network, window.features, window.targets, np.random.default_rng(0)
     )
     assert selection[0].size > 0, "gradient check window must contain positive anchors"
-    weights = LossWeights()
-
-    def loss_fn():
-        decoded = network.decode(window.features)
-        batch = batch_from_selection([decoded], [matches], [selection])
-        loss, _ = total_loss(batch, weights, params)
-        return loss
 
     result = check_gradients(loss_fn, params, step=1e-5)
     elapsed = time.perf_counter() - start
@@ -162,7 +152,7 @@ def test_criterion_3_anchor_arithmetic():
         for length, ratios in zip(expected_lengths, config.ratios)
     )
     network = Network(config, seed=0)
-    per_layer = Counter(a.layer for a in network.anchors)
+    per_layer = dict(enumerate(np.bincount(network.anchors.layer).tolist()))
     ok = (
         expected_lengths == (16, 8, 4)
         and config.map_lengths == expected_lengths
@@ -199,12 +189,11 @@ def test_criterion_4_oracle_equivalence():
             e = round(s + float(rng.uniform(0.02, 0.4)), 3)
             targets.append(ActionInstance(s, e, int(rng.integers(1, 4))))
         got = match_anchors(anchors, targets)
-        expect = brute_match(anchors, targets)
-        for g, (label, iou, t) in zip(got, expect):
-            assert g.label == label
-            assert g.iou == iou
-            assert g.target_center == (t.start + t.end) / 2
-            assert g.target_width == t.end - t.start
+        labels, ious, best = zip(*brute_match(anchors, targets))
+        assert np.array_equal(got.label, labels)
+        assert np.array_equal(got.iou, ious)
+        assert np.array_equal(got.target_center, [(t.start + t.end) / 2 for t in best])
+        assert np.array_equal(got.target_width, [t.end - t.start for t in best])
 
     nms_thresholds = (0.1, 0.3, 0.5, 0.9)
     for trial in range(1000):

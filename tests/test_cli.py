@@ -207,6 +207,12 @@ def non_utf8_parameter_name(data, checkpoint):
     checkpoint.write_bytes(bytes(payload))
 
 
+def nan_parameter_value(data, checkpoint):
+    payload = bytearray(checkpoint.read_bytes())
+    payload[-8:] = struct.pack("<d", float("nan"))  # the last value of the last parameter
+    checkpoint.write_bytes(bytes(payload))
+
+
 def non_utf8_block_name(data, checkpoint):
     path = data / "features" / "test_000.sasf"
     payload = bytearray(path.read_bytes())
@@ -225,8 +231,9 @@ class TestMalformedPredictInputs:
         edit_checkpoint_config(lambda doc: doc.update(anchor_filters=10**9)),
         non_utf8_parameter_name,
         non_utf8_block_name,
+        nan_parameter_value,
     ], ids=["feature_dim-str", "layer-no-kernel", "anchor_filters-huge", "parameter-name-utf8",
-            "block-name-utf8"])
+            "block-name-utf8", "parameter-nan"])
     def test_predict_exits_2(self, tiny_inputs, tmp_path, capsys, corrupt):
         data = tmp_path / "data"
         checkpoint = tmp_path / "model.ckpt"

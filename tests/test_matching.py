@@ -5,13 +5,16 @@ from numpy.testing import assert_allclose
 from tadkit.data import ActionInstance
 from tadkit.errors import UsageError
 from tadkit.matching import hard_negative_mine, match_anchors, segment_iou_matrix
-from tadkit.model import Anchor, anchor_grid
+from tadkit.model import anchor_grid
 
 from oracles import brute_match, interval_iou
 
 
-def make_anchor(start, end):
-    return Anchor(0, 0, 1.0, (start + end) / 2, end - start)
+def make_anchors(*spans):
+    """Anchors with the given (start, end) spans, as the record array
+    ``match_anchors`` reads."""
+    starts, ends = np.array(spans, dtype=float).T
+    return np.rec.fromarrays([starts, ends], names="start,end")
 
 
 def iou(a, b):
@@ -54,7 +57,7 @@ class TestIou:
 
 class TestMatchAnchors:
     def test_above_threshold_takes_category(self):
-        anchors = [make_anchor(0.25, 0.75)]
+        anchors = make_anchors((0.25, 0.75))
         (m,) = match_anchors(anchors, [ActionInstance(0.3, 0.7, 2)])
         assert m.label == 2
         assert_allclose(m.iou, 0.8)
@@ -63,16 +66,16 @@ class TestMatchAnchors:
 
     def test_exactly_half_iou_is_negative(self):
         # IoU must be strictly greater than 0.5
-        anchors = [make_anchor(0.0, 0.5)]
+        anchors = make_anchors((0.0, 0.5))
         (m,) = match_anchors(anchors, [ActionInstance(0.25, 0.75, 1)])
         assert_allclose(m.iou, 1 / 3)
         assert m.label == 0
-        (m,) = match_anchors([make_anchor(0.0, 1.0)], [ActionInstance(0.0, 0.5, 1)])
+        (m,) = match_anchors(make_anchors((0.0, 1.0)), [ActionInstance(0.0, 0.5, 1)])
         assert_allclose(m.iou, 0.5)
         assert m.label == 0
 
     def test_negative_keeps_best_iou_for_overlap_target(self):
-        anchors = [make_anchor(0.0, 0.2), make_anchor(0.5, 0.9)]
+        anchors = make_anchors((0.0, 0.2), (0.5, 0.9))
         matched = match_anchors(anchors, [ActionInstance(0.55, 0.85, 3)])
         assert matched[0].label == 0
         assert matched[0].iou == 0.0
@@ -81,19 +84,19 @@ class TestMatchAnchors:
 
     def test_tie_prefers_earlier_start_then_lower_category(self):
         # anchor [0.4, 0.6] overlaps both targets at exactly IoU 0.75
-        anchors = [make_anchor(0.4, 0.6)]
+        anchors = make_anchors((0.4, 0.6))
         targets = [ActionInstance(0.45, 0.6, 2), ActionInstance(0.4, 0.55, 1)]
         (m,) = match_anchors(anchors, targets)
         assert m.label == 1  # earlier start wins
         assert_allclose(m.target_center, (0.4 + 0.55) / 2)
         # identical spans: the lower category wins
         same_start = [ActionInstance(0.4, 0.55, 2), ActionInstance(0.4, 0.55, 1)]
-        (m2,) = match_anchors([make_anchor(0.4, 0.55)], same_start)
+        (m2,) = match_anchors(make_anchors((0.4, 0.55)), same_start)
         assert m2.label == 1
 
     def test_empty_targets_rejected(self):
         with pytest.raises(UsageError):
-            match_anchors([make_anchor(0.0, 1.0)], [])
+            match_anchors(make_anchors((0.0, 1.0)), [])
 
     def test_matches_brute_force_on_random_layouts(self):
         rng = np.random.default_rng(7)
@@ -115,9 +118,10 @@ class TestMatchAnchors:
 
 
 def matched_fixture(labels):
-    from tadkit.matching import MatchedAnchor
-
-    return [MatchedAnchor(i, lab, 0.6 if lab else 0.1, 0.5, 0.2) for i, lab in enumerate(labels)]
+    labels = np.array(labels)
+    return np.rec.fromarrays(
+        [labels, np.where(labels > 0, 0.6, 0.1), np.full(labels.size, 0.5),
+         np.full(labels.size, 0.2)], names="label,iou,target_center,target_width")
 
 
 class TestHardNegativeMining:

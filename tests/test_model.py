@@ -45,24 +45,27 @@ class TestAnchorGrid:
     def test_counts_and_geometry(self):
         anchors = anchor_grid(16, (1.0, 1.5, 2.0))
         assert len(anchors) == 48
-        assert_allclose(anchors[0].center, 0.5 / 16)
-        assert_allclose([a.width for a in anchors[:3]],
-                        [1 / 16, 1.5 / 16, 2 / 16])
+        assert_allclose(anchors.center[0], 0.5 / 16)
+        assert_allclose(anchors.width[:3], [1 / 16, 1.5 / 16, 2 / 16])
+        assert np.array_equal(anchors.start, anchors.center - anchors.width / 2)
+        assert np.array_equal(anchors.end, anchors.center + anchors.width / 2)
+        assert np.all(anchors.layer == 0)
 
     def test_cell_major_then_ratio_order(self):
         anchors = anchor_grid(4, (0.5, 1.0))
         expect = [(c, r) for c in range(4) for r in (0.5, 1.0)]
-        assert [(a.cell, a.ratio) for a in anchors] == expect
+        assert list(zip(anchors.cell.tolist(), anchors.ratio.tolist())) == expect
 
     def test_centers_evenly_spaced(self):
         anchors = anchor_grid(8, (1.0,))
-        assert_allclose(np.diff([a.center for a in anchors]), np.full(7, 1 / 8))
+        assert_allclose(np.diff(anchors.center), np.full(7, 1 / 8))
 
     def test_default_network_anchor_count(self):
         # maps 16/8/4 with 3, 5, 5 ratios
         net = Network(NetworkConfig(feature_dim=12, num_classes=3,
                                     base_filters=4, anchor_filters=4), seed=0)
         assert net.num_anchors == 16 * 3 + 8 * 5 + 4 * 5 == 108
+        assert np.bincount(net.anchors.layer).tolist() == [48, 40, 20]
 
 
 def decode_raw(raw):
@@ -82,19 +85,19 @@ def decode_raw(raw):
 class TestDecodeAnchor:
     def test_known_offsets(self):
         net, pred = decode_raw(np.array([0.0, 0.0, 0.0, 0.0, 1.0, 0.0]))
-        assert_allclose(pred.centers.data, net.anchor_centers + 0.1 * net.anchor_widths * 1.0)
-        assert_allclose(pred.widths.data, net.anchor_widths)
+        assert_allclose(pred.centers.data, net.anchors.center + 0.1 * net.anchors.width * 1.0)
+        assert_allclose(pred.widths.data, net.anchors.width)
         assert_allclose(pred.overlap.data, 0.5)  # logit zero
 
     def test_width_offset_exponentiates(self):
         net, pred = decode_raw(np.array([0.0, 0.0, 0.0, 0.0, 0.0, 3.0]))
-        assert_allclose(pred.widths.data, net.anchor_widths * np.exp(0.3))
+        assert_allclose(pred.widths.data, net.anchors.width * np.exp(0.3))
 
     def test_width_offset_clamped(self):
         net, hi = decode_raw(np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1e4]))
-        assert_allclose(hi.widths.data, net.anchor_widths * np.exp(0.1 * 50.0))
+        assert_allclose(hi.widths.data, net.anchors.width * np.exp(0.1 * 50.0))
         net, lo = decode_raw(np.array([0.0, 0.0, 0.0, 0.0, 0.0, -1e4]))
-        assert_allclose(lo.widths.data, net.anchor_widths * np.exp(-0.1 * 50.0))
+        assert_allclose(lo.widths.data, net.anchors.width * np.exp(-0.1 * 50.0))
 
     def test_overlap_logit_saturates_safely(self):
         _, pred = decode_raw(np.array([0.0, 0.0, 0.0, -900.0, 0.0, 0.0]))
@@ -163,8 +166,8 @@ class TestNetworkForward:
             if p.name.startswith("pred."):
                 p.data[...] = 0.0
         decoded = net.decode(np.random.default_rng(2).uniform(size=(128, 6)))
-        assert_allclose(decoded.centers.data, net.anchor_centers, atol=1e-12)
-        assert_allclose(decoded.widths.data, net.anchor_widths, atol=1e-12)
+        assert_allclose(decoded.centers.data, net.anchors.center, atol=1e-12)
+        assert_allclose(decoded.widths.data, net.anchors.width, atol=1e-12)
         assert_allclose(decoded.overlap.data, np.full(net.num_anchors, 0.5))
 
     def test_decode_shapes(self):
@@ -183,10 +186,9 @@ class TestNetworkForward:
         assert len(stacked) == net.num_anchors
         for b in range(3):
             single = net.decode(x[b])
-            view = stacked.window(b)
             for field in ("class_logits", "overlap", "centers", "widths"):
                 expect = getattr(single, field).data
-                assert_allclose(getattr(view, field).data, expect, rtol=1e-12, atol=1e-12)
+                assert_allclose(getattr(stacked, field).data[b], expect, rtol=1e-12, atol=1e-12)
 
     def test_architectures_differ_in_parameter_count(self):
         counts = {
@@ -255,6 +257,16 @@ class TestFlatLayout:
         # the check's own backward pass wrote into the view; the gradient
         # the parameter had before comes back
         assert np.array_equal(checked.grad, grad)
+
+    def test_check_gradients_keeps_every_reached_gradient(self):
+        net = Network(small_config(), seed=5)
+        params = net.parameters
+        self.loss(net).backward()
+        before = [p.grad.copy() for p in params]
+        check_gradients(lambda: self.loss(net), [params[-1]], step=1e-6)
+        # the check's backward reaches every parameter, not only the checked one
+        for p, g in zip(params, before):
+            assert np.array_equal(p.grad, g), p.name
 
 
 class TestCheckpoint:
@@ -380,6 +392,16 @@ class TestCheckpoint:
         payload[16 + size + 2] = 0xFF
         path.write_bytes(bytes(payload))
         with pytest.raises(DataError, match=f"parameter name is not valid UTF-8 at byte {16 + size + 2}"):
+            load_checkpoint(path)
+
+    def test_non_finite_parameter_reports_name_and_byte_offset(self, tmp_path):
+        net = Network(small_config(), seed=0)
+        net.parameters[1].data[2] = np.nan
+        path = tmp_path / "x.ckpt"
+        save_checkpoint(net, path)
+        offset = path.read_bytes().find(struct.pack("<d", np.nan))
+        message = f"'base.0.bias' has a non-finite value at byte {offset}"
+        with pytest.raises(DataError, match=message):
             load_checkpoint(path)
 
     def test_custom_arch_round_trips(self, tmp_path):

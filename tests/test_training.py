@@ -8,8 +8,9 @@ import tadkit.training
 from tadkit.data import SynthConfig, shuffle_training_set, slide_windows, synth_generate
 from tadkit.errors import NumericError, UsageError
 from tadkit.losses import LossWeights, total_loss
-from tadkit.matching import match_anchors
-from tadkit.model import Network, NetworkConfig, load_checkpoint
+from tadkit.matching import hard_negative_mine, match_anchors
+from tadkit.model import DecodedAnchors, Network, NetworkConfig, load_checkpoint
+from tadkit.tensor import take
 from tadkit.training import TrainConfig, _epoch_seeds, build_training_batch, train
 
 
@@ -83,6 +84,54 @@ class TestStackedMinibatch:
                   parts["l2"])
         assert_allclose(got, expect, rtol=1e-12, atol=1e-12)
         assert stats.num_positives == batch.num_positives
+
+
+class TestStackedGather:
+    """One (B, N) minibatch gathers the same rows, in the same order, as the
+    windows of that minibatch taken one by one."""
+
+    FIELDS = ("class_logits", "overlap", "centers", "widths")
+
+    def test_stacked_batch_equals_per_window_batch(self):
+        windows = tiny_dataset()[:4]
+        net = tiny_network(seed=5)
+        x = np.stack([w.features for w in windows])
+        matches = np.stack([match_anchors(net.anchors, w.targets) for w in windows]).view(
+            np.recarray)
+        stacked = build_training_batch([net.decode(x)], [matches], np.random.default_rng(8))
+        decoded = net.decode(x)
+        views = [DecodedAnchors(*(take(getattr(decoded, f), b) for f in self.FIELDS))
+                 for b in range(len(windows))]
+        per_window = build_training_batch(views, list(matches), np.random.default_rng(8))
+        assert stacked.num_positives > 0
+        for field in ("labels", "target_iou", "pos_target_centers", "pos_target_widths"):
+            assert np.array_equal(getattr(stacked, field), getattr(per_window, field)), field
+        for field in ("class_logits", "overlap", "pos_centers", "pos_widths"):
+            assert np.array_equal(getattr(stacked, field).data,
+                                  getattr(per_window, field).data), field
+
+        grads = []
+        for batch in (stacked, per_window):
+            for p in net.parameters:
+                p.grad = None
+            total_loss(batch, LossWeights(), net.parameters)[0].backward()
+            grads.append([p.grad.copy() for p in net.parameters])
+        for p, a, b in zip(net.parameters, *grads):
+            assert np.array_equal(a, b), p.name
+
+    @pytest.mark.filterwarnings("ignore:window has no positive anchors")
+    def test_mining_a_stack_draws_like_one_call_per_row(self):
+        rng = np.random.default_rng(0)
+        labels = rng.integers(1, 3, size=(5, 40)) * (rng.uniform(size=(5, 40)) < 0.2)
+        labels[2] = 0  # a window with no positives draws one negative
+        scores = rng.uniform(0.0, 0.6, size=(5, 40))  # too few hard negatives: easy ones are drawn
+        matched = np.rec.fromarrays([labels], names="label")
+        stack_rng, row_rng = np.random.default_rng(9), np.random.default_rng(9)
+        pos, neg = hard_negative_mine(matched, scores, stack_rng)
+        rows = [hard_negative_mine(matched[b], scores[b], row_rng) for b in range(5)]
+        assert np.array_equal(pos, np.concatenate([p + 40 * b for b, (p, _) in enumerate(rows)]))
+        assert np.array_equal(neg, np.concatenate([n + 40 * b for b, (_, n) in enumerate(rows)]))
+        assert stack_rng.random() == row_rng.random()  # the same number of draws
 
 
 class TestTrainLoop:
