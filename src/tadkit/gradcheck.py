@@ -89,5 +89,5 @@ def _reached_parameters(loss):
             seen.add(id(node))
             if isinstance(node, Parameter):
                 found.append(node)
-            stack.extend(node._parents)
+            stack.extend(node._parents or ())  # a consumed node has None
     return found

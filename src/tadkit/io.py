@@ -26,13 +26,14 @@ SASF_MAGIC = b"SASF"
 SASF_VERSION = 1
 
 
-def atomic_write_bytes(path, payload: bytes):
-    """Write via a temporary file + rename so readers never see partial output."""
+def atomic_write(path, chunks):
+    """Write bytes-like ``chunks`` in turn via a temporary file + rename (no partial output)."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -41,7 +42,7 @@ def atomic_write_bytes(path, payload: bytes):
 
 
 def atomic_write_text(path, text: str):
-    atomic_write_bytes(path, text.encode("utf-8"))
+    atomic_write(path, [text.encode("utf-8")])
 
 
 class _Reader:
@@ -98,8 +99,8 @@ def save_sas_features(seq: ScoreSequence, path):
         parts.append(struct.pack("<H", len(name)))
         parts.append(name)
         parts.append(struct.pack("<I", block.width))
-    parts.append(matrix.tobytes(order="C"))
-    atomic_write_bytes(path, b"".join(parts))
+    parts.append(memoryview(matrix))
+    atomic_write(path, parts)
 
 
 def load_sas_features(path, class_names=None) -> ScoreSequence:

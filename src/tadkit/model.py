@@ -23,7 +23,7 @@ from dataclasses import MISSING, dataclass, fields
 import numpy as np
 
 from .errors import ConfigError, DataError, UsageError
-from .io import _finite, _Reader, atomic_write_bytes
+from .io import _finite, _Reader, atomic_write
 from .optim import xavier_init
 from .tensor import (
     Parameter,
@@ -378,7 +378,7 @@ class Network:
 
 def save_checkpoint(network: Network, path):
     """Binary checkpoint: magic, version, config JSON, then every parameter
-    in declaration order as (name, count, float64 values)."""
+    in declaration order as (name, count, float64 values), streamed uncopied."""
     config_json = json.dumps(network.config.to_dict(), sort_keys=True).encode("utf-8")
     parts = [CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(config_json)), config_json]
     for p in network.parameters:
@@ -387,8 +387,8 @@ def save_checkpoint(network: Network, path):
         parts.append(name)
         values = np.ascontiguousarray(p.data, dtype="<f8")
         parts.append(struct.pack("<I", values.size))
-        parts.append(values.tobytes(order="C"))
-    atomic_write_bytes(path, b"".join(parts))
+        parts.append(memoryview(values))
+    atomic_write(path, parts)
 
 
 def load_checkpoint(path) -> Network:

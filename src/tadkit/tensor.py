@@ -4,9 +4,12 @@ Covers exactly the operations the detection network needs: 1D convolution
 and max pooling over (time, channels) arrays, the usual activations, and
 the handful of elementwise/reduction ops that the losses are built from.
 Convolution and pooling also take a leading batch axis, (batch, time,
-channels), so a stack of windows runs as one graph with one GEMM per pass.
+channels), so a stack of windows runs as one graph; convolution GEMMs its
+im2col matrix in row blocks forward and tap blocks backward, never whole.
 Everything is float64 and numpy-backed; forward passes are pure functions
 of their inputs; parameters and gradients are views of two flat vectors.
+``backward()`` consumes the graph, freeing each activation and interior
+gradient once no pending step or caller needs it: it is differentiated once.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, UsageError
+from .errors import ConfigError, NumericError, UsageError
 
 DTYPE = np.float64
 
@@ -62,7 +65,10 @@ class Tensor:
             self.grad = self.grad + g
 
     def backward(self):
-        """Backpropagate from a scalar through the recorded graph."""
+        """Backpropagate from a scalar, consuming the graph: a node's edges and
+        closure are dropped once its step has run, so nodes no caller holds
+        are freed on the way (a held node keeps ``.data`` and ``.grad``). A
+        later backward reaching a consumed node raises UsageError first."""
         if self.data.size != 1:
             raise UsageError("backward() is only defined for scalar tensors")
         topo = []
@@ -72,6 +78,8 @@ class Tensor:
             node, expanded = stack.pop()
             if id(node) in visited:
                 continue
+            if node._parents is None:
+                raise UsageError("backward() reached a graph that was already differentiated")
             if expanded:
                 visited.add(id(node))
                 topo.append(node)
@@ -81,9 +89,12 @@ class Tensor:
                 if p.requires_grad and id(p) not in visited:
                     stack.append((p, False))
         self._accumulate(np.ones_like(self.data))
-        for node in reversed(topo):
-            if node._backward_fn is not None and node.grad is not None:
-                node._backward_fn(node.grad)
+        while topo:
+            node = topo.pop()
+            if node._backward_fn is not None:
+                if node.grad is not None:
+                    node._backward_fn(node.grad)
+                node._parents, node._backward_fn = None, None
 
     # -- operator sugar -------------------------------------------------
 
@@ -381,7 +392,7 @@ def concat(tensors: Sequence, axis=0) -> Tensor:
 
 def _require_finite(name, data):
     if not np.isfinite(data).all():
-        raise UsageError(f"{name} requires finite inputs")
+        raise NumericError(f"{name} requires finite inputs")
 
 
 def relu(a) -> Tensor:
@@ -479,13 +490,27 @@ def _pad_time(data, left, right, fill):
     return padded
 
 
-def _im2col(padded, kernel_size, stride, out_len):
-    """(B * out_len, K * C) rows; row (b, i) holds the K input rows that
-    output i of window b sees, tap-major like a (K, C, C_out) kernel."""
+#: conv1d GEMMs at most this many im2col rows at a time forward, and column
+#: blocks of at most as many elements (ROW_BLOCK * K * C_in) backward
+ROW_BLOCK = 1024
+
+
+def _blocks(n, size):
+    """The fewest runs ``(lo, hi)`` tiling ``range(n)`` with at most ``size``
+    items each (at least one), as equal in length as possible."""
+    parts = -(-n // max(1, size))
+    return [(i * n // parts, (i + 1) * n // parts) for i in range(parts)]
+
+
+def _im2col(padded, kernel_size, stride, out_len, taps=None):
+    """(B * out_len, k * C) rows for the taps ``lo:hi`` (default all K); row
+    (b, i) holds the input rows that output i of window b sees, tap-major
+    like a (K, C, C_out) kernel."""
     b, _, c = padded.shape
+    lo, hi = taps or (0, kernel_size)
     view = sliding_window_view(padded, kernel_size, axis=1)  # (B, L, C, K)
-    view = view[:, : stride * (out_len - 1) + 1 : stride]
-    return view.transpose(0, 1, 3, 2).reshape(b * out_len, kernel_size * c)
+    view = view[:, : stride * (out_len - 1) + 1 : stride, :, lo:hi]
+    return view.transpose(0, 1, 3, 2).reshape(b * out_len, (hi - lo) * c)
 
 
 def conv1d(x, kernel, bias, stride=1, padding="same") -> Tensor:
@@ -493,9 +518,12 @@ def conv1d(x, kernel, bias, stride=1, padding="same") -> Tensor:
     a (K, C_in, C_out) kernel; the output keeps the input's batch axis.
 
     Same padding is symmetric zeros with the extra zero on the right;
-    output length is ceil(T / stride). Each pass is one GEMM over all
-    B * T_out output rows (im2col); the im2col matrix is rebuilt in the
-    backward pass rather than kept in the graph.
+    output length is ceil(T / stride). The forward pass GEMMs the im2col
+    matrix in row blocks of whole windows, the backward pass in column
+    blocks of whole taps, adding the input gradient tap by tap; no pass
+    holds the whole matrix, and the graph keeps only the input. Blocks are
+    as wide as ``ROW_BLOCK`` allows, not one tap: a GEMM over one narrow
+    tap can take another BLAS kernel, which rounds differently.
     """
     x, kernel, bias = as_tensor(x), as_tensor(kernel), as_tensor(bias)
     what = "(T, C_in) or (B, T, C_in) input"
@@ -525,26 +553,36 @@ def conv1d(x, kernel, bias, stride=1, padding="same") -> Tensor:
     else:
         raise ConfigError(f"unknown padding mode {padding!r}")
 
-    def columns():
-        return _im2col(_pad_time(xb, left, right, 0.0), K, stride, out_len)
-
+    rows = B * out_len
     weights = kernel.data.reshape(K * c_in, c_out)
-    out_data = columns() @ weights
+    out_data = np.empty((B, out_len, c_out), dtype=DTYPE)
+    for lo, hi in _blocks(B, ROW_BLOCK // out_len):  # whole windows
+        np.matmul(_im2col(_pad_time(xb[lo:hi], left, right, 0.0), K, stride, out_len),
+                  weights, out=out_data[lo:hi].reshape(-1, c_out))
     out_data += bias.data
     out_shape = (B, out_len, c_out) if batched else (out_len, c_out)
     out = Tensor(out_data.reshape(out_shape), parents=(x, kernel, bias))
 
     def backward_fn(g):
-        g = g.reshape(B * out_len, c_out)
+        g = g.reshape(rows, c_out)
         if bias.requires_grad:
             bias._accumulate(g.sum(axis=0))
+        taps = _blocks(K, ROW_BLOCK * K // max(rows, 1))  # <= ROW_BLOCK * K * c_in elements
         if kernel.requires_grad:
-            kernel._accumulate((columns().T @ g).reshape(K, c_in, c_out))
+            padded = _pad_time(xb, left, right, 0.0)
+            dk = np.empty((K * c_in, c_out), dtype=DTYPE)
+            for lo, hi in taps:
+                np.matmul(_im2col(padded, K, stride, out_len, (lo, hi)).T, g,
+                          out=dk[lo * c_in:hi * c_in])
+            kernel._accumulate(dk.reshape(K, c_in, c_out))
+            del padded, dk  # before the input gradient is allocated
         if x.requires_grad:
-            dcols = (g @ weights.T).reshape(B, out_len, K, c_in)
             pg = np.zeros((B, left + T + right, c_in), dtype=DTYPE)
-            for j in range(K):
-                pg[:, j:j + stride * out_len:stride] += dcols[:, :, j]
+            for lo, hi in taps:
+                dcols = (g @ weights[lo * c_in:hi * c_in].T).reshape(B, out_len, hi - lo, c_in)
+                for j in range(lo, hi):  # tap j of output i reads padded row j + stride * i
+                    pg[:, j:j + stride * out_len:stride] += dcols[:, :, j - lo]
+                del dcols  # before the next block is made
             x._accumulate(pg[:, left:left + T].reshape(x.data.shape))
 
     out._backward_fn = backward_fn

@@ -144,9 +144,9 @@ def train(windows, network: Network, config: TrainConfig, out_dir=None, log_path
     Writes interval checkpoints and a final ``model.ckpt`` under
     ``out_dir`` when given, and one JSON line of epoch statistics to
     ``log_path``. On divergence (non-finite loss or loss above the
-    configured limit) the last good parameters are checkpointed and
-    NumericError propagates; the loss is checked before its backward pass
-    and step, so those are the current parameters.
+    configured limit) or a non-finite activation, the last good parameters
+    are checkpointed and NumericError propagates; both are checked before
+    the backward pass and step, so those are the current parameters.
     """
     windows = list(windows)
     if not windows:
@@ -190,9 +190,9 @@ def train(windows, network: Network, config: TrainConfig, out_dir=None, log_path
             for lo in range(0, len(order), config.batch_size):
                 chunk = order[lo:lo + config.batch_size]
                 adam.zero_grad()
-                stacked = network.decode(np.stack([windows[i].features for i in chunk]))
-                batch = build_training_batch([stacked], [matches[chunk]], mine_rng)
-                try:
+                try:  # a non-finite activation or loss
+                    stacked = network.decode(np.stack([windows[i].features for i in chunk]))
+                    batch = build_training_batch([stacked], [matches[chunk]], mine_rng)
                     loss, parts = total_loss(batch, config.weights, network.parameters)
                 except NumericError as exc:
                     abort_with_last_good(exc)

@@ -299,6 +299,22 @@ class TestExitCodes:
         assert run("synth", "--out", str(tmp_path / "d"), "--config", str(cfg)) == 1
         assert "train.speed" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_weights_are_numeric_error(self, tiny_inputs, tmp_path, capsys):
+        network = Network(NetworkConfig(feature_dim=6, num_classes=2, window_length=128,
+                                        base_filters=6, anchor_filters=8), seed=0)
+        for p in network.parameters:
+            p.data[...] = 1e200  # finite, so the checkpoint loads; activations overflow
+        save_checkpoint(network, tmp_path / "model.ckpt")
+        out = tmp_path / "predictions.json"
+        code = run("predict", "--data", str(tiny_inputs / "data"), "--checkpoint",
+                   str(tmp_path / "model.ckpt"), "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.slow
     def test_gradcheck_failure_is_numeric_error(self, capsys):
         # an impossibly tight tolerance forces the failure path

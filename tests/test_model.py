@@ -290,6 +290,20 @@ class TestCheckpoint:
         assert np.array_equal(before.centers.data, after.centers.data)
         assert np.array_equal(before.class_logits.data, after.class_logits.data)
 
+    def test_save_streams_parameters_without_copies(self, tmp_path):
+        net = Network(small_config(base_filters=96, anchor_filters=192), seed=0)
+        path = tmp_path / "model.ckpt"
+        tracemalloc.start()
+        try:
+            save_checkpoint(net, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size >= 8 * 2**20
+        assert peak < size / 4
+        assert load_checkpoint(path).config == net.config
+
     def test_load_reads_parameters_without_initialising(self, tmp_path, monkeypatch):
         net = Network(small_config(), seed=3)
         path = tmp_path / "model.ckpt"

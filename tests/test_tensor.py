@@ -1,10 +1,14 @@
 import gc
+import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.testing import assert_allclose
 
-from tadkit.errors import ConfigError, UsageError
+import tadkit.tensor
+
+from tadkit.errors import ConfigError, NumericError, UsageError
 from tadkit.tensor import (
     Parameter,
     Tensor,
@@ -147,7 +151,7 @@ class TestActivations:
 
     def test_nonfinite_input_rejected(self):
         for fn in (relu, sigmoid, softmax, logsumexp):
-            with pytest.raises(UsageError):
+            with pytest.raises(NumericError):
                 fn(Tensor([np.nan, 1.0]))
 
 
@@ -380,3 +384,106 @@ class TestGraph:
             y = y + 1.0
         y.backward()
         assert_allclose(x.grad, 1.0)
+
+
+class TestConvBlocks:
+    """conv1d's row-block forward and tap-block backward, at the default
+    block size and at block sizes small enough to split every pass."""
+
+    @pytest.mark.parametrize("row_block", [tadkit.tensor.ROW_BLOCK, 16, 1])
+    @pytest.mark.parametrize("batched", [False, True])
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    @pytest.mark.parametrize("padding", ["same", "valid"])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    def test_gradients_match_central_differences(
+            self, stride, padding, k, batched, row_block, monkeypatch):
+        monkeypatch.setattr(tadkit.tensor, "ROW_BLOCK", row_block)
+        rng = np.random.default_rng([stride, k, batched])
+        shape = (2, 11, 2) if batched else (11, 2)
+        x0, k0, b0 = rng.normal(size=shape), rng.normal(size=(k, 2, 3)), rng.normal(size=3)
+
+        def direct(xv, kv, bv):
+            windows = xv if batched else xv[None]
+            out = np.stack([direct_conv1d(w, kv, bv, stride, padding) for w in windows])
+            return out if batched else out[0]
+
+        weights = rng.normal(size=direct(x0, k0, b0).shape)
+        x, kern, b = Parameter(x0.copy(), "x"), Parameter(k0.copy(), "k"), Parameter(b0.copy(), "b")
+        tsum(mul(conv1d(x, kern, b, stride=stride, padding=padding), weights)).backward()
+
+        def loss_of(part):
+            def f(v):
+                parts = {"x": x0, "k": k0, "b": b0, part: v}
+                return float((direct(parts["x"], parts["k"], parts["b"]) * weights).sum())
+
+            return f
+
+        assert_allclose(x.grad, numeric_gradient(loss_of("x"), x0.copy()), atol=1e-6)
+        assert_allclose(kern.grad, numeric_gradient(loss_of("k"), k0.copy()), atol=1e-6)
+        assert_allclose(b.grad, numeric_gradient(loss_of("b"), b0.copy()), atol=1e-6)
+
+    def test_forward_over_row_blocks_equals_one_gemm(self):
+        rng = np.random.default_rng(3)
+        x, kernel, bias = rng.normal(size=(3, 700, 4)), rng.normal(size=(5, 4, 6)), rng.normal(size=6)
+        assert x.shape[0] * x.shape[1] > tadkit.tensor.ROW_BLOCK  # several row blocks
+        padded = np.pad(x, ((0, 0), (2, 2), (0, 0)))
+        cols = sliding_window_view(padded, 5, axis=1).transpose(0, 1, 3, 2).reshape(2100, 20)
+        expect = cols @ kernel.reshape(20, 6)
+        expect += bias
+        out = conv1d(Tensor(x), Tensor(kernel), Tensor(bias))
+        assert np.array_equal(out.data, expect.reshape(3, 700, 6))
+
+    def test_transient_memory_of_each_pass(self):
+        # a 256-filter base conv over 16 windows: the whole (4096, 2304)
+        # im2col matrix alone would be 75 MB
+        rng = np.random.default_rng(0)
+        x = Parameter(rng.normal(size=(16, 256, 256)), "x")
+        kernel = Parameter(rng.normal(scale=0.01, size=(9, 256, 256)), "k")
+        bias = Parameter(np.zeros(256), "b")
+        g = rng.normal(size=(16, 256, 256))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            out = conv1d(x, kernel, bias)
+            forward = tracemalloc.get_traced_memory()[1] - start
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            out._backward_fn(g)
+            backward = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert forward < 40e6
+        assert backward < 40e6
+
+
+class TestGraphLifetime:
+    def test_backward_frees_the_graph_it_consumes(self):
+        p = Parameter(np.random.default_rng(0).uniform(0.1, 1.0, size=10**6), "p")
+        ops = [sigmoid, exp, square, lambda t: mul(t, 0.5), lambda t: add(t, 1.0),
+               log, relu, lambda t: clip(t, 0.0, 5.0), lambda t: mul(t, t), smooth_l1]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            y = p
+            for op in ops:
+                y = op(y)
+            loss = tsum(y)
+            del y
+            loss.backward()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(p.grad).all()
+        assert held <= 2 * p.data.nbytes
+
+    def test_second_backward_through_a_consumed_node_is_refused(self):
+        a = Parameter(np.array([1.0, -2.0, 3.0]), "a")
+        b = Parameter(np.array([0.5, 4.0, -1.0]), "b")
+        h = mul(a, b)
+        tsum(h).backward()
+        grads = [a.grad.copy(), b.grad.copy()]
+        again = tsum(add(h, a))
+        with pytest.raises(UsageError, match="already differentiated"):
+            again.backward()
+        assert np.array_equal(a.grad, grads[0])
+        assert np.array_equal(b.grad, grads[1])

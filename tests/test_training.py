@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -205,6 +206,17 @@ class TestTrainLoop:
             assert np.array_equal(p.data, q.data), p.name
             assert not np.array_equal(p.data, b), p.name  # two steps really moved it
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_non_finite_activation_aborts_with_last_good_checkpoint(self, tmp_path):
+        windows = tiny_dataset()[:2]
+        net = tiny_network(seed=5)
+        for p in net.parameters:
+            p.data[...] = 1e200  # finite weights whose activations overflow
+        with pytest.raises(NumericError, match="diverged.*requires finite inputs"):
+            train(windows, net, TrainConfig(epochs=1, batch_size=2), out_dir=tmp_path)
+        for p in load_checkpoint(tmp_path / "model.ckpt").parameters:
+            assert np.all(p.data == 1e200)
+
     def test_epoch_log_is_json_lines(self, tmp_path):
         windows = tiny_dataset()[:4]
         net = tiny_network()
@@ -236,3 +248,26 @@ class TestTrainLoop:
                                     base_filters=4, anchor_filters=4), seed=0)
         with pytest.raises(UsageError, match="expects"):
             train(windows, net, TrainConfig(epochs=1))
+
+
+def test_a_minibatch_graph_is_freed_before_the_next_is_built():
+    cfg = SynthConfig(num_videos=3, num_classes=2, block_names=("a", "b"),
+                      min_video_length=600, max_video_length=900,
+                      min_instance_length=30, max_instance_length=80, noise_sigma=0.05)
+    windows = []
+    for seq, ann in zip(*synth_generate(cfg, 0)):
+        windows.extend(slide_windows(seq, ann.instances, 512, 0.75))
+
+    def peak(n):
+        # activations outweigh parameters: the graph sets the peak
+        net = Network(NetworkConfig(feature_dim=6, num_classes=2, window_length=512,
+                                    base_filters=32, anchor_filters=32), seed=0)
+        tracemalloc.start()
+        try:
+            train(windows[:n], net, TrainConfig(epochs=1, batch_size=4, checkpoint_every=0))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert len(windows) >= 8
+    assert peak(8) <= 1.1 * peak(4)
