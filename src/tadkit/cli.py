@@ -88,7 +88,7 @@ def load_settings(config_path, overrides):
                 doc = json.load(fh)
         except FileNotFoundError:
             raise ConfigError(f"config file {config_path!r} does not exist") from None
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # invalid JSON, or bytes that are not UTF-8
             raise ConfigError(f"{config_path}: invalid JSON ({exc})") from exc
         if not isinstance(doc, dict):
             raise ConfigError(f"{config_path}: expected an object of dotted keys")
@@ -160,7 +160,7 @@ def _load_manifest(data_dir):
             doc = json.load(fh)
     except FileNotFoundError:
         raise DataError(f"{path}: no dataset manifest") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # invalid JSON, or bytes that are not UTF-8
         raise DataError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(doc.get("categories"), list) or not isinstance(doc.get("splits"), dict):
         raise DataError(f"{path}: manifest needs 'categories' and 'splits'")

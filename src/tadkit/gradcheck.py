@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NumericError
-from .tensor import Parameter, Tensor
+from .tensor import Parameter, Tensor, no_grad
 
 
 @dataclass
@@ -30,10 +30,11 @@ def check_gradients(
 ) -> GradCheckResult:
     """Compare analytic gradients of ``loss_fn`` against central differences.
 
-    ``loss_fn`` must rebuild the forward graph on every call (it is invoked
-    twice per parameter coordinate). Parameters and the gradients of every
-    parameter the loss reaches are restored bit-exactly, so the check never
-    mutates them.
+    ``loss_fn`` must recompute the loss from the current parameter values
+    on every call: the first call's graph is differentiated, and the rest,
+    two per parameter coordinate, run under ``no_grad()``. Parameters and
+    the gradients of every parameter the loss reaches are restored
+    bit-exactly, so the check never mutates them.
     """
     params = list(params)
     originals = [p.data.copy() for p in params]
@@ -58,14 +59,15 @@ def check_gradients(
         for p, orig in zip(params, originals):
             flat = p.data.reshape(-1)
             numeric = np.zeros_like(flat)
-            for i in range(flat.size):
-                saved = flat[i]
-                flat[i] = saved + step
-                hi = float(loss_fn().data)
-                flat[i] = saved - step
-                lo = float(loss_fn().data)
-                flat[i] = saved
-                numeric[i] = (hi - lo) / (2.0 * step)
+            with no_grad():  # the loss's value is all a difference needs
+                for i in range(flat.size):
+                    saved = flat[i]
+                    flat[i] = saved + step
+                    hi = float(loss_fn().data)
+                    flat[i] = saved - step
+                    lo = float(loss_fn().data)
+                    flat[i] = saved
+                    numeric[i] = (hi - lo) / (2.0 * step)
             a = analytic[p.name].reshape(-1)
             rel = np.abs(a - numeric) / np.maximum(1.0, np.abs(numeric))
             err = float(rel.max()) if rel.size else 0.0

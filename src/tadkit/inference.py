@@ -1,8 +1,8 @@
 """Prediction-time fusion, non-maximum suppression, and video inference.
 
 Prediction runs as one array pipeline per video. Windows are decoded in
-stacks of DECODE_STACK, one batched graph per stack, and the anchors of
-all windows become one row each of per-video arrays:
+stacks of DECODE_STACK, one batched pass per stack under ``no_grad()``,
+and the anchors of all windows become one row each of per-video arrays:
 softmax class probabilities (N, K+1), overlap (N,), and start/end in
 video snippets. Each row's class probabilities are combined with the mean
 snippet scores over its span (summed over blocks, averaged over rows and
@@ -25,13 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Detection, ScoreSequence, slide_windows
-from .errors import ConfigError, DataError, UsageError
+from .errors import ConfigError, DataError, NumericError, UsageError
 from .matching import segment_iou_matrix
 from .model import Network
-from .tensor import softmax
+from .tensor import no_grad, softmax
 
 PREDICTION_OVERLAP = 0.25  # window overlap fraction at inference time
-DECODE_STACK = 4  # windows decoded together as one graph at inference time
+DECODE_STACK = 4  # windows decoded together as one batch at inference time
 
 
 @dataclass(frozen=True)
@@ -169,11 +169,12 @@ def predict_video(seq: ScoreSequence, network: Network, categories, config: Fusi
     """Detect actions in one video.
 
     Windows at 25% overlap are decoded in stacks of DECODE_STACK, each
-    stack as one batched graph (the last stack may be shorter); their
+    stack as one batch with no graph (the last stack may be shorter); their
     anchors are mapped to video coordinates, clipped to [0, T] and gathered
     into per-video arrays in window-then-anchor order. Zero-width rows are
     dropped, the rest are fused, suppressed per category, and returned
-    sorted by descending confidence.
+    sorted by descending confidence. A non-finite activation raises
+    NumericError naming the video and the first window start of its stack.
     """
     if len(categories) != network.config.num_classes:
         raise UsageError(
@@ -193,13 +194,18 @@ def predict_video(seq: ScoreSequence, network: Network, categories, config: Fusi
     probs, overlap, starts, ends = [], [], [], []
     for first in range(0, len(windows), DECODE_STACK):
         stack = windows[first:first + DECODE_STACK]
-        decoded = network.decode(np.stack([w.features for w in stack]))
-        probs.append(softmax(decoded.class_logits).data)
+        # no graph, and no NumPy warning: a non-finite activation raises below
+        with no_grad(), np.errstate(over="ignore", invalid="ignore"):
+            try:
+                decoded = network.decode(np.stack([w.features for w in stack]))
+                probs.append(softmax(decoded.class_logits).data)
+            except NumericError as exc:
+                raise NumericError(f"video {seq.video_id!r}, windows from snippet "
+                                   f"{stack[0].start}: {exc}") from exc
         overlap.append(decoded.overlap.data)
         origin = np.array([[w.start] for w in stack], dtype=float)  # (B, 1)
         centers = origin + decoded.centers.data * t_w
         widths = decoded.widths.data * t_w
-        del decoded  # free this stack's graph before the next one is built
         starts.append(np.clip(centers - widths / 2, 0.0, t_v))
         ends.append(np.clip(centers + widths / 2, 0.0, t_v))
     # (B, N, ...) stacks -> rows in window-then-anchor order

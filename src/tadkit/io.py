@@ -46,24 +46,41 @@ def atomic_write_text(path, text: str):
 
 
 class _Reader:
-    """Cursor over a file's bytes (``take`` returns views) raising DataError at an offset."""
+    """Cursor (``pos``) over an open file, checking each read against the
+    file's size first and raising DataError at a byte offset. ``into`` reads
+    straight into an array's memory. A ``with`` block closes the file."""
 
     def __init__(self, path):
-        with open(path, "rb") as fh:
-            self.payload = memoryview(fh.read())
-        self.pos = 0
-        self.path = path
+        self.path, self.pos = path, 0
+        self.fh = open(path, "rb")
+        self.size = os.fstat(self.fh.fileno()).st_size
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.fh.close()
 
     def fail(self, message, offset=None):
         offset = self.pos if offset is None else offset
         raise DataError(f"{self.path}: {message} at byte {offset}")
 
-    def take(self, count, what):
-        if self.pos + count > len(self.payload):
+    def skip(self, count, what):
+        """Move the cursor past the next ``count`` bytes, leaving the file at their start."""
+        if self.pos + count > self.size:
             self.fail(f"truncated {what} (need {count} bytes)")
-        out = self.payload[self.pos:self.pos + count]
+        self.fh.seek(self.pos)
         self.pos += count
-        return out
+
+    def take(self, count, what):
+        self.skip(count, what)
+        return self.fh.read(count)
+
+    def into(self, array, what):
+        """Fill the C-contiguous ``array`` with the next ``array.nbytes`` bytes."""
+        self.skip(array.nbytes, what)
+        if self.fh.readinto(memoryview(array).cast("B")) != array.nbytes:
+            self.fail(f"file shrank while reading {what}", offset=self.pos - array.nbytes)
 
     def u16(self, what):
         return struct.unpack("<H", self.take(2, what))[0]
@@ -81,8 +98,8 @@ class _Reader:
 
     def finish(self):
         """Reject any bytes left after the last field."""
-        if self.pos != len(self.payload):
-            self.fail(f"{len(self.payload) - self.pos} trailing bytes")
+        if self.pos != self.size:
+            self.fail(f"{self.size - self.pos} trailing bytes")
 
 
 def save_sas_features(seq: ScoreSequence, path):
@@ -106,31 +123,31 @@ def save_sas_features(seq: ScoreSequence, path):
 def load_sas_features(path, class_names=None) -> ScoreSequence:
     """Parse an SASF file. ``class_names`` optionally maps each block name to
     a column-name tuple (the binary format does not carry column names)."""
-    r = _Reader(path)
-    magic = bytes(r.take(4, "magic"))
-    if magic != SASF_MAGIC:
-        r.fail(f"bad magic {magic!r}, expected {SASF_MAGIC!r}", offset=0)
-    version = r.u32("version")
-    if version != SASF_VERSION:
-        r.fail(f"unsupported version {version}", offset=4)
-    t = r.u32("snippet count")
-    d = r.u32("feature dimension")
-    block_count = r.u32("block count")
-    if t < 1 or d < 1:
-        r.fail(f"empty matrix (T={t}, D={d})", offset=8)
-    blocks = []
-    for i in range(block_count):
-        name_len = r.u16(f"block {i} name length")
-        name = r.text(name_len, f"block {i} name")
-        width = r.u32(f"block {i} width")
-        names = class_names.get(name) if class_names else None
-        blocks.append(ScoreBlock(name, width, tuple(names) if names else None))
-    widths = sum(b.width for b in blocks)
-    if widths != d:
-        r.fail(f"block widths sum to {widths}, header says D={d}")
-    data_offset = r.pos
-    raw = r.take(t * d * 4, "score payload")
-    r.finish()
+    with _Reader(path) as r:
+        magic = r.take(4, "magic")
+        if magic != SASF_MAGIC:
+            r.fail(f"bad magic {magic!r}, expected {SASF_MAGIC!r}", offset=0)
+        version = r.u32("version")
+        if version != SASF_VERSION:
+            r.fail(f"unsupported version {version}", offset=4)
+        t = r.u32("snippet count")
+        d = r.u32("feature dimension")
+        block_count = r.u32("block count")
+        if t < 1 or d < 1:
+            r.fail(f"empty matrix (T={t}, D={d})", offset=8)
+        blocks = []
+        for i in range(block_count):
+            name_len = r.u16(f"block {i} name length")
+            name = r.text(name_len, f"block {i} name")
+            width = r.u32(f"block {i} width")
+            names = class_names.get(name) if class_names else None
+            blocks.append(ScoreBlock(name, width, tuple(names) if names else None))
+        widths = sum(b.width for b in blocks)
+        if widths != d:
+            r.fail(f"block widths sum to {widths}, header says D={d}")
+        data_offset = r.pos
+        raw = r.take(t * d * 4, "score payload")
+        r.finish()
     matrix = np.frombuffer(raw, dtype="<f4").reshape(t, d)
     bad = ~np.isfinite(matrix)
     if bad.any():
@@ -178,12 +195,16 @@ def save_annotations(annotation_set: AnnotationSet, path):
     atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def load_annotations(path) -> AnnotationSet:
+def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+            return json.load(fh)
+    except ValueError as exc:  # invalid JSON, or bytes that are not UTF-8
         raise DataError(f"{path}: invalid JSON ({exc})") from exc
+
+
+def load_annotations(path) -> AnnotationSet:
+    doc = _load_json(path)
     _require(isinstance(doc, dict), f"{path}: top level must be an object")
     categories = doc.get("categories")
     _require(isinstance(categories, list) and all(isinstance(c, str) for c in categories),
@@ -210,12 +231,10 @@ def load_annotations(path) -> AnnotationSet:
         for i, inst in enumerate(instances_doc):
             label = f"{path}: video {vid!r} instance {i}"
             _require(isinstance(inst, dict), f"{label}: must be an object")
-            try:
-                start = float(inst["start"])
-                end = float(inst["end"])
-                category = int(inst["category"])
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise DataError(f"{label}: needs numeric start/end and integer category") from exc
+            start, end, category = (_finite(inst.get(key)) for key in ("start", "end", "category"))
+            _require(None not in (start, end, category) and category.is_integer(),
+                     f"{label}: needs numeric start/end and integer category")
+            category = int(category)
             _require(1 <= category <= len(categories),
                      f"{label}: category {category} outside 1..{len(categories)}")
             try:
@@ -248,29 +267,19 @@ def save_predictions(detections, path):
 
 
 def load_predictions(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: invalid JSON ({exc})") from exc
+    doc = _load_json(path)
     _require(isinstance(doc, dict) and isinstance(doc.get("predictions"), list),
              f"{path}: expected an object with a 'predictions' list")
     out = []
     for i, rec in enumerate(doc["predictions"]):
         label = f"{path}: prediction {i}"
         _require(isinstance(rec, dict), f"{label}: must be an object")
-        try:
-            det = Detection(
-                str(rec["video_id"]),
-                float(rec["start"]),
-                float(rec["end"]),
-                int(rec["category"]),
-                float(rec["confidence"]),
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise DataError(f"{label}: malformed record") from exc
-        _require(all(math.isfinite(x) for x in (det.start, det.end, det.confidence)),
-                 f"{label}: start, end and confidence must be finite")
-        _require(det.start < det.end, f"{label}: start must precede end")
-        out.append(det)
+        numbers = [_finite(rec.get(key)) for key in ("start", "end", "category", "confidence")]
+        _require(isinstance(rec.get("video_id"), str) and None not in numbers
+                 and numbers[2].is_integer(),
+                 f"{label}: malformed record (needs a string video_id, finite start, end "
+                 f"and confidence, and an integer category)")
+        start, end, category, confidence = numbers
+        _require(start < end, f"{label}: start must precede end")
+        out.append(Detection(rec["video_id"], start, end, int(category), confidence))
     return out

@@ -19,6 +19,7 @@ import json
 import math
 import struct
 from dataclasses import MISSING, dataclass, fields
+from itertools import islice
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from .tensor import (
     concat,
     conv1d,
     exp,
-    flat_parameters,
+    flat_views,
     maxpool1d,
     mul,
     relu,
@@ -265,49 +266,50 @@ class DecodedAnchors:
         return self.overlap.data.shape[-1]
 
 
+def _layout(config):
+    """``(name, shape)`` of every parameter in declaration order: each base
+    convolution's kernel and bias, then per anchor map the kernel and bias
+    of its anchor convolution and of its prediction convolution."""
+    layout, channels = [], config.feature_dim
+    for i, layer in enumerate(l for l in config.base_layers() if l.kind == "conv"):
+        filters = layer.filters or config.base_filters
+        layout += [(f"base.{i}.kernel", (layer.kernel, channels, filters)),
+                   (f"base.{i}.bias", (filters,))]
+        channels = filters
+    for f, ratios in enumerate(config.ratios):
+        width = len(ratios) * (config.head_width + 3)
+        layout += [(f"anchor.{f}.kernel", (config.anchor_kernel, channels, config.anchor_filters)),
+                   (f"anchor.{f}.bias", (config.anchor_filters,)),
+                   (f"pred.{f}.kernel", (config.pred_kernel, config.anchor_filters, width)),
+                   (f"pred.{f}.bias", (width,))]
+        channels = config.anchor_filters
+    return layout
+
+
 class Network:
     """Builds parameters from a seed and runs the forward/decode pass."""
 
     def __init__(self, config: NetworkConfig, seed=0):
+        self._build(config)
         rng = np.random.default_rng(seed)
-        self._build(config, lambda name, shape: xavier_init(shape, rng))
+        for p in self._params:  # Xavier draws in declaration order
+            xavier_init(p.data.shape, rng, out=p.data)
 
-    def _build(self, config, init):
-        """Lay out the network over one flat parameter vector; ``init(name,
-        shape)`` supplies each parameter's values, in declaration order."""
+    def _build(self, config):
+        """Lay the parameters out over one flat vector, allocated once and
+        left uninitialised (the caller fills every view), and wire the layers."""
         self.config = config
-        self._params = []
-
-        def param(name, shape):
-            p = Parameter(init(name, shape), name=name)
-            self._params.append(p)
-            return p
-
+        layout = _layout(config)
+        _, _, views = flat_views([shape for _, shape in layout])
+        self._params = [Parameter(d, name, g) for (name, _), (d, g) in zip(layout, views)]
+        params = iter(self._params)
         self.base_ops = []  # ("conv", kernel_p, bias_p, stride) | ("pool", size, stride)
-        channels = config.feature_dim
-        conv_idx = 0
         for layer in config.base_layers():
             if layer.kind == "conv":
-                filters = layer.filters or config.base_filters
-                k = param(f"base.{conv_idx}.kernel", (layer.kernel, channels, filters))
-                b = param(f"base.{conv_idx}.bias", (filters,))
-                self.base_ops.append(("conv", k, b, layer.stride))
-                channels = filters
-                conv_idx += 1
+                self.base_ops.append(("conv", next(params), next(params), layer.stride))
             else:
                 self.base_ops.append(("pool", layer.kernel, layer.stride))
-
-        self.heads = []
-        for f, ratios in enumerate(config.ratios):
-            ak = param(f"anchor.{f}.kernel", (config.anchor_kernel, channels, config.anchor_filters))
-            ab = param(f"anchor.{f}.bias", (config.anchor_filters,))
-            out_width = len(ratios) * (config.head_width + 3)
-            pk = param(f"pred.{f}.kernel", (config.pred_kernel, config.anchor_filters, out_width))
-            pb = param(f"pred.{f}.bias", (out_width,))
-            self.heads.append((ak, ab, pk, pb))
-            channels = config.anchor_filters
-        flat_parameters(self._params)  # packs the values in declaration order
-
+        self.heads = [tuple(islice(params, 4)) for _ in config.ratios]  # (ak, ab, pk, pb)
         self.anchors = np.concatenate([
             anchor_grid(m, ratios, layer=f)
             for f, (m, ratios) in enumerate(zip(config.map_lengths, config.ratios))
@@ -392,38 +394,46 @@ def save_checkpoint(network: Network, path):
 
 
 def load_checkpoint(path) -> Network:
-    r = _Reader(path)
-    if r.take(8, "magic") != CHECKPOINT_MAGIC:
-        r.fail(f"bad magic, expected {CHECKPOINT_MAGIC!r}", offset=0)
-    version = r.u32("version")
-    if version != CHECKPOINT_VERSION:
-        r.fail(f"unsupported checkpoint version {version}", offset=8)
-    config_offset = r.pos + 4
-    config_text = r.text(r.u32("config length"), "config")
-    try:
-        config = NetworkConfig.from_dict(json.loads(config_text))
-    except (json.JSONDecodeError, ConfigError, DataError) as exc:
-        r.fail(f"invalid network config ({exc})", offset=config_offset)
+    """Read a ``save_checkpoint`` file, streamed: first the config and every
+    parameter's name and count, each checked against the config and the
+    file's size; then the flat vector, allocated once, with each parameter's
+    values read in place into its view and checked to be finite. A fault is
+    a DataError at its byte offset."""
+    with _Reader(path) as r:
+        if r.take(8, "magic") != CHECKPOINT_MAGIC:
+            r.fail(f"bad magic, expected {CHECKPOINT_MAGIC!r}", offset=0)
+        version = r.u32("version")
+        if version != CHECKPOINT_VERSION:
+            r.fail(f"unsupported checkpoint version {version}", offset=8)
+        config_offset = r.pos + 4
+        config_text = r.text(r.u32("config length"), "config")
+        try:
+            config = NetworkConfig.from_dict(json.loads(config_text))
+        except (json.JSONDecodeError, ConfigError, DataError) as exc:
+            r.fail(f"invalid network config ({exc})", offset=config_offset)
 
-    def read_parameter(expected, shape):
-        offset = r.pos
-        name = r.text(r.u16("parameter name length"), "parameter name")
-        if name != expected:
-            r.fail(f"expected parameter {expected!r}, found {name!r}", offset=offset)
-        count = r.u32("parameter count")
-        size = math.prod(shape)
-        if count != size:
-            r.fail(f"parameter {name!r} has {count} values, expected {size}")
-        offset = r.pos
-        values = np.frombuffer(r.take(count * 8, f"values of {name!r}"), dtype="<f8")
-        finite = np.isfinite(values)
-        if not finite.all():
-            r.fail(f"parameter {name!r} has a non-finite value",
-                   offset=offset + 8 * int(finite.argmin()))
-        return values.reshape(shape)
+        offsets = []
+        for name, shape in _layout(config):
+            offset = r.pos
+            found = r.text(r.u16("parameter name length"), "parameter name")
+            if found != name:
+                r.fail(f"expected parameter {name!r}, found {found!r}", offset=offset)
+            count, size = r.u32("parameter count"), math.prod(shape)
+            if count != size:
+                r.fail(f"parameter {name!r} has {count} values, expected {size}")
+            offsets.append(r.pos)
+            r.skip(count * 8, f"values of {name!r}")
+        r.finish()
 
-    # the file's values go straight into the flat vector, with no initialisation
-    network = Network.__new__(Network)
-    network._build(config, read_parameter)
-    r.finish()
+        network = Network.__new__(Network)  # no initialisation: the file fills every view
+        network._build(config)
+        for p, offset in zip(network.parameters, offsets):
+            r.pos = offset
+            r.into(p.data, f"values of {p.name!r}")
+            if not np.little_endian:  # the file is little-endian
+                p.data.byteswap(inplace=True)
+            finite = np.isfinite(p.data)
+            if not finite.all():
+                r.fail(f"parameter {p.name!r} has a non-finite value",
+                       offset=offset + 8 * int(finite.argmin()))
     return network

@@ -22,14 +22,19 @@ def _fans(shape) -> tuple[int, int]:
     raise ConfigError(f"no fan rule for shape {shape}")
 
 
-def xavier_init(shape, seed) -> np.ndarray:
-    """Uniform values on [-a, a] with a = sqrt(6 / (fan_in + fan_out))."""
+def xavier_init(shape, seed, out=None) -> np.ndarray:
+    """Uniform values on [-a, a] with a = sqrt(6 / (fan_in + fan_out)),
+    drawn in place into ``out`` (C-contiguous float64) when given."""
     fan_in, fan_out = _fans(shape)
     if fan_in == 0 or fan_out == 0:
         raise ConfigError(f"zero fan for shape {tuple(shape)}")
     a = math.sqrt(6.0 / (fan_in + fan_out))
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return rng.uniform(-a, a, size=tuple(shape)).astype(DTYPE, copy=False)
+    out = np.empty(tuple(shape), dtype=DTYPE) if out is None else out
+    rng.random(out=out)  # -a + 2a u, the bits Generator.uniform(-a, a) gives
+    out *= 2.0 * a
+    out -= a
+    return out
 
 
 #: elements per block of ``Adam.step``: a block's six 256 KB rows stay in cache

@@ -10,10 +10,15 @@ Everything is float64 and numpy-backed; forward passes are pure functions
 of their inputs; parameters and gradients are views of two flat vectors.
 ``backward()`` consumes the graph, freeing each activation and interior
 gradient once no pending step or caller needs it: it is differentiated once.
+Under ``no_grad()`` ops record no parents and keep no backward closure, so
+each activation is freed as soon as the next op no longer needs it.
 """
 
 from __future__ import annotations
 
+import math
+import threading
+from contextlib import contextmanager
 from typing import Sequence
 
 import numpy as np
@@ -22,6 +27,19 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ConfigError, NumericError, UsageError
 
 DTYPE = np.float64
+_mode = threading.local()  # ``grad`` is False inside no_grad(), per thread
+
+
+@contextmanager
+def no_grad():
+    """Build no graph inside the block: every op returns a constant tensor.
+    Nests, and restores the previous mode on exit, an exception included."""
+    previous = getattr(_mode, "grad", True)
+    _mode.grad = False
+    try:
+        yield
+    finally:
+        _mode.grad = previous
 
 
 def _asarray(x) -> np.ndarray:
@@ -40,6 +58,8 @@ class Tensor:
     def __init__(self, data, requires_grad=False, parents=(), backward_fn=None):
         self.data = _asarray(data)
         self.grad = None
+        if not getattr(_mode, "grad", True):
+            parents, backward_fn = (), None
         self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in parents)
         self._parents = tuple(parents)
         self._backward_fn = backward_fn
@@ -138,14 +158,15 @@ class Tensor:
 class Parameter(Tensor):
     """A named leaf tensor updated by the optimizer. ``grad`` is None or its
     gradient view: backward copies the first gradient in and adds later ones
-    in place (an array assigned to ``grad`` is copied in by ``Adam.step``)."""
+    in place (an array assigned to ``grad`` is copied in by ``Adam.step``).
+    The view is ``grad_view``, or a buffer of its own until laid out flat."""
 
     __slots__ = ("name", "_grad_view")
 
-    def __init__(self, data, name):
+    def __init__(self, data, name, grad_view=None):
         super().__init__(data, requires_grad=True)
         self.name = str(name)
-        self._grad_view = np.empty_like(self.data)  # until flat_parameters lays it out
+        self._grad_view = np.empty_like(self.data) if grad_view is None else grad_view
 
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.data.shape})"
@@ -160,6 +181,18 @@ class Parameter(Tensor):
             super()._accumulate(g)
 
 
+def flat_views(shapes):
+    """``(data, grad, views)``: a new uninitialised flat data vector, a zero
+    gradient vector as long, and per shape in order a (data, grad) view pair."""
+    sizes = [math.prod(shape) for shape in shapes]
+    data = np.empty(sum(sizes), dtype=DTYPE)
+    grad = np.zeros(data.size, dtype=DTYPE)  # calloc: pages stay unmapped until written
+    cuts = np.cumsum(sizes)[:-1]
+    views = [(d.reshape(shape), g.reshape(shape))
+             for shape, d, g in zip(shapes, np.split(data, cuts), np.split(grad, cuts))]
+    return data, grad, views
+
+
 def flat_parameters(params):
     """``(data, grad)``: flat vectors that the distinct ``params``' data and
     gradients are views of. Parameters already laid out over one such pair
@@ -170,11 +203,8 @@ def flat_parameters(params):
     if all(isinstance(x, np.ndarray) and x.size == sum(sizes) for x in (data, grad)) and all(
             p.data.base is data and p._grad_view.base is grad for p in params):
         return data, grad
-    data = np.empty(sum(sizes), dtype=DTYPE)
-    grad = np.zeros(data.size, dtype=DTYPE)  # calloc: pages stay unmapped until written
-    cuts = np.cumsum(sizes)[:-1]
-    for p, view, grad_view in zip(params, np.split(data, cuts), np.split(grad, cuts)):
-        view, grad_view = view.reshape(p.data.shape), grad_view.reshape(p.data.shape)
+    data, grad, views = flat_views([p.data.shape for p in params])
+    for p, (view, grad_view) in zip(params, views):
         view[...] = p.data
         if p.grad is p._grad_view:
             grad_view[...] = p.grad
@@ -210,7 +240,6 @@ def _reduce_to(g, shape):
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _binary_shapes(a, b)
-    out = Tensor(a.data + b.data, parents=(a, b))
 
     def backward_fn(g):
         if a.requires_grad:
@@ -218,14 +247,12 @@ def add(a, b) -> Tensor:
         if b.requires_grad:
             b._accumulate(_reduce_to(g, b.data.shape))
 
-    out._backward_fn = backward_fn
-    return out
+    return Tensor(a.data + b.data, parents=(a, b), backward_fn=backward_fn)
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _binary_shapes(a, b)
-    out = Tensor(a.data * b.data, parents=(a, b))
 
     def backward_fn(g):
         if a.requires_grad:
@@ -233,38 +260,32 @@ def mul(a, b) -> Tensor:
         if b.requires_grad:
             b._accumulate(_reduce_to(g * a.data, b.data.shape))
 
-    out._backward_fn = backward_fn
-    return out
+    return Tensor(a.data * b.data, parents=(a, b), backward_fn=backward_fn)
 
 
 def square(a) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(a.data * a.data, parents=(a,))
 
     def backward_fn(g):
         if a.requires_grad:
             a._accumulate(2.0 * a.data * g)
 
-    out._backward_fn = backward_fn
-    return out
+    return Tensor(a.data * a.data, parents=(a,), backward_fn=backward_fn)
 
 
 def reciprocal(a) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(1.0 / a.data, parents=(a,))
 
     def backward_fn(g):
         if a.requires_grad:
             a._accumulate(-g / (a.data * a.data))
 
-    out._backward_fn = backward_fn
-    return out
+    return Tensor(1.0 / a.data, parents=(a,), backward_fn=backward_fn)
 
 
 def exp(a) -> Tensor:
     a = as_tensor(a)
     e = np.exp(a.data)
-    out = Tensor(e, parents=(a,))
 
     # closures keep the output array, not the output tensor: a tensor whose
     # backward refers to itself is a reference cycle that holds the graph
@@ -272,34 +293,29 @@ def exp(a) -> Tensor:
         if a.requires_grad:
             a._accumulate(e * g)
 
-    out._backward_fn = backward_fn
-    return out
+    return Tensor(e, parents=(a,), backward_fn=backward_fn)
 
 
 def log(a) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(np.log(a.data), parents=(a,))
 
     def backward_fn(g):
         if a.requires_grad:
             a._accumulate(g / a.data)
 
-    out._backward_fn = backward_fn
-    return out
+    return Tensor(np.log(a.data), parents=(a,), backward_fn=backward_fn)
 
 
 def clip(a, lo, hi) -> Tensor:
     """Clamp values to [lo, hi]; gradient passes through the interior."""
     a = as_tensor(a)
-    out = Tensor(np.clip(a.data, lo, hi), parents=(a,))
     mask = (a.data >= lo) & (a.data <= hi)
 
     def backward_fn(g):
         if a.requires_grad:
             a._accumulate(g * mask)
 
-    out._backward_fn = backward_fn
-    return out
+    return Tensor(np.clip(a.data, lo, hi), parents=(a,), backward_fn=backward_fn)
 
 
 def smooth_l1(a) -> Tensor:
@@ -307,26 +323,23 @@ def smooth_l1(a) -> Tensor:
     a = as_tensor(a)
     absx = np.abs(a.data)
     inner = absx < 1.0
-    out = Tensor(np.where(inner, 0.5 * a.data * a.data, absx - 0.5), parents=(a,))
 
     def backward_fn(g):
         if a.requires_grad:
             a._accumulate(g * np.where(inner, a.data, np.sign(a.data)))
 
-    out._backward_fn = backward_fn
-    return out
+    return Tensor(np.where(inner, 0.5 * a.data * a.data, absx - 0.5), parents=(a,),
+                  backward_fn=backward_fn)
 
 
 def tsum(a) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(a.data.sum(), parents=(a,))
 
     def backward_fn(g):
         if a.requires_grad:
             a._accumulate(np.full(a.data.shape, float(g), dtype=DTYPE))
 
-    out._backward_fn = backward_fn
-    return out
+    return Tensor(a.data.sum(), parents=(a,), backward_fn=backward_fn)
 
 
 def tmean(a) -> Tensor:
@@ -334,32 +347,27 @@ def tmean(a) -> Tensor:
     n = a.data.size
     if n == 0:
         raise UsageError("mean of an empty tensor")
-    out = Tensor(a.data.mean(), parents=(a,))
 
     def backward_fn(g):
         if a.requires_grad:
             a._accumulate(np.full(a.data.shape, float(g) / n, dtype=DTYPE))
 
-    out._backward_fn = backward_fn
-    return out
+    return Tensor(a.data.mean(), parents=(a,), backward_fn=backward_fn)
 
 
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(a.data.reshape(shape), parents=(a,))
 
     def backward_fn(g):
         if a.requires_grad:
             a._accumulate(g.reshape(a.data.shape))
 
-    out._backward_fn = backward_fn
-    return out
+    return Tensor(a.data.reshape(shape), parents=(a,), backward_fn=backward_fn)
 
 
 def take(a, index) -> Tensor:
     """Differentiable indexing (slices, integer arrays, tuples thereof)."""
     a = as_tensor(a)
-    out = Tensor(a.data[index], parents=(a,))
 
     def backward_fn(g):
         if a.requires_grad:
@@ -367,15 +375,13 @@ def take(a, index) -> Tensor:
             np.add.at(full, index, g)
             a._accumulate(full)
 
-    out._backward_fn = backward_fn
-    return out
+    return Tensor(a.data[index], parents=(a,), backward_fn=backward_fn)
 
 
 def concat(tensors: Sequence, axis=0) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
     if not tensors:
         raise UsageError("concat of an empty sequence")
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis), parents=tuple(tensors))
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
@@ -386,8 +392,8 @@ def concat(tensors: Sequence, axis=0) -> Tensor:
                 sl[axis] = slice(lo, hi)
                 t._accumulate(g[tuple(sl)])
 
-    out._backward_fn = backward_fn
-    return out
+    return Tensor(np.concatenate([t.data for t in tensors], axis=axis),
+                  parents=tuple(tensors), backward_fn=backward_fn)
 
 
 def _require_finite(name, data):
@@ -398,14 +404,12 @@ def _require_finite(name, data):
 def relu(a) -> Tensor:
     a = as_tensor(a)
     _require_finite("relu", a.data)
-    out = Tensor(np.maximum(a.data, 0.0), parents=(a,))
 
     def backward_fn(g):
         if a.requires_grad:
             a._accumulate(g * (a.data > 0))
 
-    out._backward_fn = backward_fn
-    return out
+    return Tensor(np.maximum(a.data, 0.0), parents=(a,), backward_fn=backward_fn)
 
 
 def sigmoid(a) -> Tensor:
@@ -419,14 +423,12 @@ def sigmoid(a) -> Tensor:
     e = np.exp(x[~pos])
     s[~pos] = e / (1.0 + e)
     s = s.reshape(a.data.shape)
-    out = Tensor(s, parents=(a,))
 
     def backward_fn(g):
         if a.requires_grad:
             a._accumulate(g * s * (1.0 - s))
 
-    out._backward_fn = backward_fn
-    return out
+    return Tensor(s, parents=(a,), backward_fn=backward_fn)
 
 
 def softmax(a, axis=-1) -> Tensor:
@@ -436,15 +438,13 @@ def softmax(a, axis=-1) -> Tensor:
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     s = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(s, parents=(a,))
 
     def backward_fn(g):
         if a.requires_grad:
             dot = (g * s).sum(axis=axis, keepdims=True)
             a._accumulate(s * (g - dot))
 
-    out._backward_fn = backward_fn
-    return out
+    return Tensor(s, parents=(a,), backward_fn=backward_fn)
 
 
 def logsumexp(a, axis=-1) -> Tensor:
@@ -453,15 +453,14 @@ def logsumexp(a, axis=-1) -> Tensor:
     m = a.data.max(axis=axis, keepdims=True)
     e = np.exp(a.data - m)
     sums = e.sum(axis=axis, keepdims=True)
-    out = Tensor(np.squeeze(m + np.log(sums), axis=axis), parents=(a,))
     soft = e / sums
 
     def backward_fn(g):
         if a.requires_grad:
             a._accumulate(np.expand_dims(g, axis) * soft)
 
-    out._backward_fn = backward_fn
-    return out
+    return Tensor(np.squeeze(m + np.log(sums), axis=axis), parents=(a,),
+                  backward_fn=backward_fn)
 
 
 def _same_padding(length, kernel, stride):
@@ -561,7 +560,6 @@ def conv1d(x, kernel, bias, stride=1, padding="same") -> Tensor:
                   weights, out=out_data[lo:hi].reshape(-1, c_out))
     out_data += bias.data
     out_shape = (B, out_len, c_out) if batched else (out_len, c_out)
-    out = Tensor(out_data.reshape(out_shape), parents=(x, kernel, bias))
 
     def backward_fn(g):
         g = g.reshape(rows, c_out)
@@ -585,8 +583,8 @@ def conv1d(x, kernel, bias, stride=1, padding="same") -> Tensor:
                 del dcols  # before the next block is made
             x._accumulate(pg[:, left:left + T].reshape(x.data.shape))
 
-    out._backward_fn = backward_fn
-    return out
+    return Tensor(out_data.reshape(out_shape), parents=(x, kernel, bias),
+                  backward_fn=backward_fn)
 
 
 def maxpool1d(x, window, stride) -> Tensor:
@@ -613,7 +611,6 @@ def maxpool1d(x, window, stride) -> Tensor:
     best = taps[0].copy()
     for tap in taps[1:]:
         np.maximum(best, tap, out=best)
-    out = Tensor(best if batched else best[0], parents=(x,))
 
     def backward_fn(g):
         if x.requires_grad:
@@ -628,5 +625,4 @@ def maxpool1d(x, window, stride) -> Tensor:
                 open_ &= ~hit
             x._accumulate(pg[:, left:left + T].reshape(x.data.shape))
 
-    out._backward_fn = backward_fn
-    return out
+    return Tensor(best if batched else best[0], parents=(x,), backward_fn=backward_fn)

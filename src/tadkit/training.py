@@ -24,7 +24,7 @@ from .losses import LossWeights, TrainingBatch, total_loss
 from .matching import hard_negative_mine, match_anchors
 from .model import Network, save_checkpoint
 from .optim import Adam
-from .tensor import concat, take
+from .tensor import concat, no_grad, take
 
 
 @dataclass
@@ -124,7 +124,8 @@ def fixed_selection_loss(network: Network, features, targets, rng):
     and scores that selection with ``total_loss`` at the default weights.
     Returns ``(loss_fn, selection)``."""
     matched = match_anchors(network.anchors, targets)
-    selection = hard_negative_mine(matched, network.decode(features).overlap.data, rng)
+    with no_grad():
+        selection = hard_negative_mine(matched, network.decode(features).overlap.data, rng)
 
     def loss_fn():
         batch = batch_from_selection([network.decode(features)], [matched], [selection])

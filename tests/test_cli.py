@@ -1,12 +1,15 @@
+import copy
 import json
 import shutil
 import struct
+import warnings
 
 import numpy as np
 import pytest
 
 from tadkit.cli import main, parse_thresholds
-from tadkit.io import load_predictions, load_sas_features
+from tadkit.errors import DataError
+from tadkit.io import load_annotations, load_predictions, load_sas_features
 from tadkit.model import Network, NetworkConfig, save_checkpoint
 
 TINY = {
@@ -175,6 +178,104 @@ class TestMalformedJson:
         assert run("eval", "--predictions", str(preds), "--annotations", str(ann)) == 0
 
 
+def _json_type(value):
+    """The JSON type of a parsed value (integers and floats are numbers)."""
+    if isinstance(value, bool):
+        return bool
+    return float if isinstance(value, int) else type(value)
+
+
+def _slots(node):
+    """Every (container, key) pair under ``node``, depth first."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in list(items):
+        yield node, key
+        if isinstance(value, (dict, list)):
+            yield from _slots(value)
+
+
+#: a value in place of another: strings for numbers, lists for objects,
+#: objects for lists, booleans, null and numbers the formats may reject
+SWAPS = (str, lambda v: [v], lambda v: {"value": v}, lambda v: True, lambda v: False,
+         lambda v: None, lambda v: -1, lambda v: 2.5, lambda v: 10 ** 400, lambda v: "")
+
+
+def json_mutants(doc, seed, count=200):
+    """Seeded mutants of the JSON document ``doc`` as ``(payload, invalid)``.
+    Each applies one to three edits at random slots (the root included): a
+    swapped value, a deleted key or element, or an extra key; one in ten
+    also gets a byte that is not UTF-8. ``invalid`` marks the mutants that
+    any loader must reject: a single edit that changes a value's JSON type,
+    or the bad byte."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        holder = [copy.deepcopy(doc)]
+        edits = int(rng.integers(1, 4))
+        invalid = False
+        for _ in range(edits):
+            slots = list(_slots(holder))
+            container, key = slots[rng.integers(len(slots))]
+            kind = int(rng.integers(len(SWAPS) + 2))
+            if kind == len(SWAPS) and container is not holder:
+                del container[key]
+            elif kind == len(SWAPS) + 1 and isinstance(container[key], dict):
+                container[key]["extra"] = 1
+            else:
+                old, new = container[key], SWAPS[kind % len(SWAPS)](container[key])
+                container[key] = new
+                invalid |= edits == 1 and _json_type(old) != _json_type(new)
+        payload = bytearray(json.dumps(holder[0]).encode())
+        letters = [i for i, b in enumerate(payload) if chr(b).isalpha()]
+        if rng.random() < 0.1 and letters:
+            payload[letters[rng.integers(len(letters))]] = 0xFF
+            invalid = True
+        yield bytes(payload), invalid
+
+
+class TestMutatedJson:
+    """Seeded type and value swaps in valid annotation and prediction files:
+    each loads or raises DataError, never another exception, and ``eval``
+    exits 0 with a report or 2 with no report at all."""
+
+    annotations = {"categories": ["jump", "throw"], "videos": [
+        {"video_id": "a", "num_snippets": 500, "fps": 25.0,
+         "instances": [{"start": 10.0, "end": 60.0, "category": 1}]},
+        {"video_id": "b", "num_snippets": 700, "fps": 30.0,
+         "instances": [{"start": 1.5, "end": 99.5, "category": 2},
+                       {"start": 200.0, "end": 340.0, "category": 1}]}]}
+    predictions = {"predictions": [
+        {"video_id": "a", "start": 12.0, "end": 58.0, "category": 1, "confidence": 0.9},
+        {"video_id": "b", "start": 0.0, "end": 90.0, "category": 2, "confidence": 0.7},
+        {"video_id": "b", "start": 210.0, "end": 330.0, "category": 1, "confidence": 0.4}]}
+
+    @pytest.mark.parametrize("which, load, seed", [
+        ("annotations", load_annotations, 21), ("predictions", load_predictions, 22)])
+    def test_only_data_error_escapes(self, tmp_path, capsys, which, load, seed):
+        paths = {"annotations": tmp_path / "ann.json", "predictions": tmp_path / "preds.json"}
+        for name, path in paths.items():
+            path.write_text(json.dumps(getattr(self, name)))
+        out = tmp_path / "report.json"
+        rejected = 0
+        for payload, invalid in json_mutants(getattr(self, which), seed):
+            paths[which].write_bytes(payload)
+            try:
+                load(paths[which])
+                loaded = True
+            except DataError:
+                loaded = False
+                rejected += 1
+            assert not (invalid and loaded), payload
+            code = run("eval", "--predictions", str(paths["predictions"]),
+                       "--annotations", str(paths["annotations"]), "--out", str(out))
+            err = capsys.readouterr().err
+            assert code == 2 if not loaded else code in (0, 2), payload
+            assert out.exists() == (code == 0), payload
+            assert "Traceback" not in err
+            if code == 0:
+                out.unlink()
+        assert rejected > 50
+
+
 @pytest.fixture(scope="module")
 def tiny_inputs(tmp_path_factory):
     """A TINY dataset and a checkpoint of a network that fits it."""
@@ -313,6 +414,25 @@ class TestExitCodes:
         assert code == 3
         assert err.startswith("error:")
         assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_overflow_at_predict_time_names_the_video(self, tiny_inputs, tmp_path, capsys):
+        network = Network(NetworkConfig(feature_dim=6, num_classes=2, window_length=128,
+                                        base_filters=6, anchor_filters=8), seed=0)
+        for p in network.parameters:
+            p.data[...] = 1e200
+        save_checkpoint(network, tmp_path / "model.ckpt")
+        out = tmp_path / "predictions.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a NumPy RuntimeWarning escapes as an exception
+            code = run("predict", "--data", str(tiny_inputs / "data"), "--checkpoint",
+                       str(tmp_path / "model.ckpt"), "--out", str(out))
+        err = capsys.readouterr().err
+        manifest = json.loads((tiny_inputs / "data" / "manifest.json").read_text())
+        assert code == 3
+        assert "Warning" not in err
+        assert err.startswith("error:")
+        assert f"video {manifest['splits']['test'][0]!r}" in err.splitlines()[0]
         assert not out.exists()
 
     @pytest.mark.slow

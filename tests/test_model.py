@@ -20,7 +20,7 @@ from tadkit.model import (
     save_checkpoint,
 )
 from tadkit.optim import xavier_init
-from tadkit.tensor import flat_parameters, square, tmean
+from tadkit.tensor import flat_parameters, no_grad, square, tmean
 
 
 def small_config(**kw):
@@ -190,6 +190,18 @@ class TestNetworkForward:
                 expect = getattr(single, field).data
                 assert_allclose(getattr(stacked, field).data[b], expect, rtol=1e-12, atol=1e-12)
 
+    def test_decode_without_a_graph_equals_the_graph_decode(self):
+        net = Network(small_config(), seed=3)
+        x = np.random.default_rng(4).uniform(size=(3, 128, 6))
+        graph = net.decode(x)
+        with no_grad():
+            plain = net.decode(x)
+        for field in ("class_logits", "overlap", "centers", "widths"):
+            out = getattr(plain, field)
+            assert np.array_equal(out.data, getattr(graph, field).data), field
+            assert out._parents == () and out._backward_fn is None, field
+            assert getattr(graph, field)._parents, field
+
     def test_architectures_differ_in_parameter_count(self):
         counts = {
             name: Network(small_config(base_arch=name), seed=0).num_parameters
@@ -303,6 +315,25 @@ class TestCheckpoint:
         assert size >= 8 * 2**20
         assert peak < size / 4
         assert load_checkpoint(path).config == net.config
+
+    def test_load_streams_into_one_vector(self, tmp_path):
+        # no whole-file buffer and no per-parameter arrays: the data vector
+        # and the calloc'd gradient vector, each about the file's size, are
+        # the only large allocations
+        net = Network(small_config(base_filters=96, anchor_filters=192), seed=0)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(net, path)
+        tracemalloc.start()
+        try:
+            back = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size >= 8 * 2**20
+        assert peak < 2.5 * size
+        for pa, pb in zip(net.parameters, back.parameters):
+            assert np.array_equal(pa.data, pb.data)
 
     def test_load_reads_parameters_without_initialising(self, tmp_path, monkeypatch):
         net = Network(small_config(), seed=3)

@@ -1,4 +1,5 @@
 import gc
+import threading
 import tracemalloc
 
 import numpy as np
@@ -22,6 +23,7 @@ from tadkit.tensor import (
     logsumexp,
     maxpool1d,
     mul,
+    no_grad,
     relu,
     reshape,
     sigmoid,
@@ -360,6 +362,48 @@ class TestNoReferenceCycles:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+class TestNoGrad:
+    def test_ops_record_no_graph(self):
+        p = Parameter(np.array([0.5, -1.0, 2.0]), name="p")
+        graph = tsum(sigmoid(mul(p, 2.0)))
+        with no_grad():
+            plain = tsum(sigmoid(mul(p, 2.0)))
+        assert np.array_equal(plain.data, graph.data)
+        assert plain._parents == () and plain._backward_fn is None
+        assert not plain.requires_grad
+        assert graph._parents and graph._backward_fn is not None
+
+    def test_mode_is_restored_after_nesting_and_exceptions(self):
+        p = Parameter(np.ones(2), name="p")
+
+        def records_graph():
+            return bool(mul(p, 2.0)._parents)
+
+        with no_grad():
+            with no_grad():
+                assert not records_graph()
+            assert not records_graph()  # the inner block restored the outer mode
+            with pytest.raises(NumericError):
+                with no_grad():
+                    relu(Tensor([np.inf]))
+            assert not records_graph()
+        assert records_graph()
+        with pytest.raises(NumericError):
+            with no_grad():
+                relu(Tensor([np.inf]))
+        assert records_graph()
+
+    def test_mode_is_per_thread(self):
+        p = Parameter(np.ones(2), name="p")
+        seen = []
+        with no_grad():
+            worker = threading.Thread(target=lambda: seen.append(bool(mul(p, 2.0)._parents)))
+            worker.start()
+            worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert seen == [True]  # another thread's no_grad() does not reach this one
 
 
 class TestGraph:
