@@ -2,7 +2,11 @@
 
 Central differences with a fixed step, compared against the gradients the
 graph produces, with the relative error normalized by max(1, |numeric|).
-Intended for float64 mode on small configurations.
+Intended for small configurations computing in float64 (the default of
+``Network.decode``, and what ``fixed_selection_loss`` decodes in): a
+float32 loss is too coarse for a 1e-5 step. The float32 path that
+``train`` runs is checked against the float64 gradient instead
+(``tests/test_training.py::TestFloat32Compute``).
 """
 
 from __future__ import annotations

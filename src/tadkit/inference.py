@@ -1,13 +1,13 @@
 """Prediction-time fusion, non-maximum suppression, and video inference.
 
 Prediction runs as one array pipeline per video. Windows are decoded in
-stacks of DECODE_STACK, one batched pass per stack under ``no_grad()``,
-and the anchors of all windows become one row each of per-video arrays:
-softmax class probabilities (N, K+1), overlap (N,), and start/end in
-video snippets. Each row's class probabilities are combined with the mean
-snippet scores over its span (summed over blocks, averaged over rows and
-blocks, read from one prefix-sum table) and gated by the predicted
-overlap:
+stacks of DECODE_STACK, one batched float32 pass per stack under
+``no_grad()``, and the anchors of all windows become one row each of
+per-video arrays: softmax class probabilities (N, K+1), overlap (N,), and
+start/end in video snippets. Each row's class probabilities are combined
+with the mean snippet scores over its span (summed over blocks, averaged
+over rows and blocks, read from one prefix-sum table) and gated by the
+predicted overlap:
 
     base = [class probabilities if enabled] + [mean snippet scores if enabled]
     fused = overlap * base            (when overlap gating is enabled)
@@ -168,8 +168,8 @@ def nms(detections, threshold):
 def predict_video(seq: ScoreSequence, network: Network, categories, config: FusionConfig):
     """Detect actions in one video.
 
-    Windows at 25% overlap are decoded in stacks of DECODE_STACK, each
-    stack as one batch with no graph (the last stack may be shorter); their
+    Windows at 25% overlap are decoded in stacks of DECODE_STACK (the
+    last may be shorter), each as one float32 batch with no graph; their
     anchors are mapped to video coordinates, clipped to [0, T] and gathered
     into per-video arrays in window-then-anchor order. Zero-width rows are
     dropped, the rest are fused, suppressed per category, and returned
@@ -197,7 +197,7 @@ def predict_video(seq: ScoreSequence, network: Network, categories, config: Fusi
         # no graph, and no NumPy warning: a non-finite activation raises below
         with no_grad(), np.errstate(over="ignore", invalid="ignore"):
             try:
-                decoded = network.decode(np.stack([w.features for w in stack]))
+                decoded = network.decode(np.stack([w.features for w in stack]), "float32")
                 probs.append(softmax(decoded.class_logits).data)
             except NumericError as exc:
                 raise NumericError(f"video {seq.video_id!r}, windows from snippet "

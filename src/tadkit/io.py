@@ -45,14 +45,24 @@ def atomic_write_text(path, text: str):
     atomic_write(path, [text.encode("utf-8")])
 
 
+def _open(path, mode, **kwargs):
+    """``open(path, mode)``, with a file that cannot be opened (missing, a
+    directory, unreadable) a DataError."""
+    try:
+        return open(path, mode, **kwargs)
+    except OSError as exc:
+        raise DataError(f"{path}: cannot open ({exc.strerror or exc})") from None
+
+
 class _Reader:
     """Cursor (``pos``) over an open file, checking each read against the
-    file's size first and raising DataError at a byte offset. ``into`` reads
-    straight into an array's memory. A ``with`` block closes the file."""
+    file's size first and raising DataError at a byte offset (or when the
+    file cannot be opened). ``into`` reads straight into an array's memory.
+    A ``with`` block closes the file."""
 
     def __init__(self, path):
         self.path, self.pos = path, 0
-        self.fh = open(path, "rb")
+        self.fh = _open(path, "rb")
         self.size = os.fstat(self.fh.fileno()).st_size
 
     def __enter__(self):
@@ -197,7 +207,7 @@ def save_annotations(annotation_set: AnnotationSet, path):
 
 def _load_json(path):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with _open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except ValueError as exc:  # invalid JSON, or bytes that are not UTF-8
         raise DataError(f"{path}: invalid JSON ({exc})") from exc

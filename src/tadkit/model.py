@@ -30,6 +30,7 @@ from .tensor import (
     Parameter,
     Tensor,
     as_tensor,
+    cast,
     clip,
     concat,
     conv1d,
@@ -327,45 +328,53 @@ class Network:
     def num_anchors(self) -> int:
         return len(self.anchors)
 
-    def forward(self, features):
+    def forward(self, features, compute_dtype="float64"):
         """Run one (T_w, D) window, or a (B, T_w, D) stack of windows,
-        through the network.
+        through the network in ``compute_dtype`` ("float32" or "float64").
 
         Returns one tensor per anchor map, reshaped to (cells * ratios,
         head_width + 3) with rows in anchor order, behind the stack's
-        leading window axis when there is one.
+        leading window axis when there is one. In float32 the input and
+        each parameter are cast once, and the gradients reach the float64
+        parameters through their casts; in float64 nothing is cast.
         """
         x = as_tensor(features)
         want = (self.config.window_length, self.config.feature_dim)
         if x.data.shape[-2:] != want or x.data.ndim not in (2, 3):
             raise UsageError(f"expected features of shape {want}, got {x.data.shape}")
+        x = cast(x, compute_dtype)
         for op in self.base_ops:
             if op[0] == "conv":
                 _, k, b, stride = op
-                x = relu(conv1d(x, k, b, stride=stride, padding="same"))
+                x = relu(conv1d(x, cast(k, compute_dtype), cast(b, compute_dtype),
+                                stride=stride, padding="same"))
             else:
                 _, size, stride = op
                 x = maxpool1d(x, size, stride)
         cols = self.config.head_width + 3
         outputs = []
         for f, (ak, ab, pk, pb) in enumerate(self.heads):
-            x = relu(conv1d(x, ak, ab, stride=2, padding="same"))
-            raw = conv1d(x, pk, pb, stride=1, padding="same")
+            x = relu(conv1d(x, cast(ak, compute_dtype), cast(ab, compute_dtype),
+                            stride=2, padding="same"))
+            raw = conv1d(x, cast(pk, compute_dtype), cast(pb, compute_dtype),
+                         stride=1, padding="same")
             *lead, m, width = raw.data.shape
             outputs.append(reshape(raw, (*lead, m * (width // cols), cols)))
         return outputs
 
-    def decode(self, features) -> DecodedAnchors:
+    def decode(self, features, compute_dtype="float64") -> DecodedAnchors:
         """Forward plus anchor decoding, all differentiable.
 
         Takes one (T_w, D) window or a (B, T_w, D) stack; a stack decodes
-        as one graph whose fields have a leading window axis. Centers and
-        widths stay in window-normalized coordinates and are not clipped
-        here; clipping happens only on final video-level output.
+        as one graph whose fields have a leading window axis. The forward
+        pass runs in ``compute_dtype``; the decoded fields are float64
+        either way. Centers and widths stay in window-normalized coordinates
+        and are not clipped here; clipping happens only on final video-level
+        output.
         """
         cfg = self.config
-        outputs = self.forward(features)
-        raw = concat(outputs, axis=outputs[0].data.ndim - 2)
+        outputs = self.forward(features, compute_dtype)
+        raw = cast(concat(outputs, axis=outputs[0].data.ndim - 2), np.float64)
         kp = cfg.head_width
         logits = raw[..., :kp]
         overlap = sigmoid(raw[..., kp])

@@ -6,8 +6,12 @@ the handful of elementwise/reduction ops that the losses are built from.
 Convolution and pooling also take a leading batch axis, (batch, time,
 channels), so a stack of windows runs as one graph; convolution GEMMs its
 im2col matrix in row blocks forward and tap blocks backward, never whole.
-Everything is float64 and numpy-backed; forward passes are pure functions
-of their inputs; parameters and gradients are views of two flat vectors.
+Leaves (``Tensor(...)``, ``as_tensor``, parameters) are float64; every op
+keeps its inputs' dtype, and ``cast`` moves a value to float32 and back, its
+gradient arriving in the source's dtype. So a float32 graph over float64
+parameters accumulates straight into their float64 gradient views. Forward
+passes are pure functions of their inputs; parameters and gradients are
+views of two flat vectors.
 ``backward()`` consumes the graph, freeing each activation and interior
 gradient once no pending step or caller needs it: it is differentiated once.
 Under ``no_grad()`` ops record no parents and keep no backward closure, so
@@ -50,13 +54,15 @@ class Tensor:
     """A numpy array plus the bookkeeping needed for backpropagation.
 
     Gradients are accumulated into ``.grad`` (lazily created) when
-    ``backward()`` is called on a downstream scalar.
+    ``backward()`` is called on a downstream scalar. A leaf's data is
+    float64; an op's output (one made with ``parents``) keeps the dtype
+    the op computed in.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
 
     def __init__(self, data, requires_grad=False, parents=(), backward_fn=None):
-        self.data = _asarray(data)
+        self.data = np.asarray(data) if parents else _asarray(data)
         self.grad = None
         if not getattr(_mode, "grad", True):
             parents, backward_fn = (), None
@@ -78,11 +84,12 @@ class Tensor:
     def _accumulate(self, g):
         # The first gradient is adopted as is. It may be a view of another
         # node's gradient (reshape, take, concat) or shared with a sibling
-        # (add), so every later sum is out of place.
+        # (add), so every later sum is out of place. Gradients take the
+        # tensor's dtype.
         if self.grad is None:
-            self.grad = np.asarray(g, dtype=DTYPE)
+            self.grad = np.asarray(g, dtype=self.data.dtype)
         else:
-            self.grad = self.grad + g
+            self.grad = np.add(self.grad, g, dtype=self.data.dtype)
 
     def backward(self):
         """Backpropagate from a scalar, consuming the graph: a node's edges and
@@ -234,7 +241,7 @@ def _reduce_to(g, shape):
     # undo scalar broadcasting
     if g.shape == shape:
         return g
-    return np.asarray(g.sum(), dtype=DTYPE).reshape(shape)
+    return np.asarray(g.sum()).reshape(shape)
 
 
 def add(a, b) -> Tensor:
@@ -337,7 +344,7 @@ def tsum(a) -> Tensor:
 
     def backward_fn(g):
         if a.requires_grad:
-            a._accumulate(np.full(a.data.shape, float(g), dtype=DTYPE))
+            a._accumulate(np.full(a.data.shape, float(g), dtype=a.data.dtype))
 
     return Tensor(a.data.sum(), parents=(a,), backward_fn=backward_fn)
 
@@ -350,7 +357,7 @@ def tmean(a) -> Tensor:
 
     def backward_fn(g):
         if a.requires_grad:
-            a._accumulate(np.full(a.data.shape, float(g) / n, dtype=DTYPE))
+            a._accumulate(np.full(a.data.shape, float(g) / n, dtype=a.data.dtype))
 
     return Tensor(a.data.mean(), parents=(a,), backward_fn=backward_fn)
 
@@ -394,6 +401,26 @@ def concat(tensors: Sequence, axis=0) -> Tensor:
 
     return Tensor(np.concatenate([t.data for t in tensors], axis=axis),
                   parents=tuple(tensors), backward_fn=backward_fn)
+
+
+class _Cast(Tensor):
+    """``cast``'s output. A gradient passes straight on to the source as it
+    arrives, which accumulates it in its own dtype: none is held here until
+    the node's turn comes (a parameter's cast comes late), so each float32
+    kernel gradient is freed as soon as its conv has made it."""
+
+    def __init__(self, a, dtype):
+        super().__init__(a.data.astype(dtype), parents=(a,))
+
+    def _accumulate(self, g):
+        self._parents[0]._accumulate(g)
+
+
+def cast(a, dtype) -> Tensor:
+    """``a`` converted to ``dtype``, or ``a`` itself when it has that dtype
+    already; the gradient goes back to ``a`` in ``a``'s dtype."""
+    a, dtype = as_tensor(a), np.dtype(dtype)
+    return a if a.data.dtype == dtype else _Cast(a, dtype)
 
 
 def _require_finite(name, data):
@@ -484,7 +511,7 @@ def _pad_time(data, left, right, fill):
     if left == right == 0:
         return data
     b, t, c = data.shape
-    padded = np.full((b, left + t + right, c), fill, dtype=DTYPE)
+    padded = np.full((b, left + t + right, c), fill, dtype=data.dtype)
     padded[:, left:left + t] = data
     return padded
 
@@ -554,7 +581,8 @@ def conv1d(x, kernel, bias, stride=1, padding="same") -> Tensor:
 
     rows = B * out_len
     weights = kernel.data.reshape(K * c_in, c_out)
-    out_data = np.empty((B, out_len, c_out), dtype=DTYPE)
+    dtype = np.result_type(xb, weights)  # float32 when input and kernel are
+    out_data = np.empty((B, out_len, c_out), dtype=dtype)
     for lo, hi in _blocks(B, ROW_BLOCK // out_len):  # whole windows
         np.matmul(_im2col(_pad_time(xb[lo:hi], left, right, 0.0), K, stride, out_len),
                   weights, out=out_data[lo:hi].reshape(-1, c_out))
@@ -568,14 +596,14 @@ def conv1d(x, kernel, bias, stride=1, padding="same") -> Tensor:
         taps = _blocks(K, ROW_BLOCK * K // max(rows, 1))  # <= ROW_BLOCK * K * c_in elements
         if kernel.requires_grad:
             padded = _pad_time(xb, left, right, 0.0)
-            dk = np.empty((K * c_in, c_out), dtype=DTYPE)
+            dk = np.empty((K * c_in, c_out), dtype=dtype)
             for lo, hi in taps:
                 np.matmul(_im2col(padded, K, stride, out_len, (lo, hi)).T, g,
                           out=dk[lo * c_in:hi * c_in])
             kernel._accumulate(dk.reshape(K, c_in, c_out))
             del padded, dk  # before the input gradient is allocated
         if x.requires_grad:
-            pg = np.zeros((B, left + T + right, c_in), dtype=DTYPE)
+            pg = np.zeros((B, left + T + right, c_in), dtype=dtype)
             for lo, hi in taps:
                 dcols = (g @ weights[lo * c_in:hi * c_in].T).reshape(B, out_len, hi - lo, c_in)
                 for j in range(lo, hi):  # tap j of output i reads padded row j + stride * i

@@ -5,8 +5,10 @@ targets, so they are computed once up front, as one (windows, anchors)
 match array. Each epoch reshuffles the windows and re-mines negatives
 (mining depends on current predictions). Each minibatch is decoded as one
 stacked graph, mined window by window, and gathered with one take per
-field. Given the same windows, seed and config, two runs
-produce bit-identical checkpoints.
+field. The network computes in float32 over float64 parameters; the
+losses, the gradient vector, the Adam moments and the checkpoints are
+float64. Given the same windows, seed and config, two runs produce
+bit-identical checkpoints.
 """
 
 from __future__ import annotations
@@ -145,9 +147,10 @@ def train(windows, network: Network, config: TrainConfig, out_dir=None, log_path
     Writes interval checkpoints and a final ``model.ckpt`` under
     ``out_dir`` when given, and one JSON line of epoch statistics to
     ``log_path``. On divergence (non-finite loss or loss above the
-    configured limit) or a non-finite activation, the last good parameters
-    are checkpointed and NumericError propagates; both are checked before
-    the backward pass and step, so those are the current parameters.
+    configured limit), a non-finite activation or a non-finite gradient,
+    the last good parameters are checkpointed and NumericError propagates;
+    all are checked before the step, so those are the current parameters.
+    NumPy warns of none of them.
     """
     windows = list(windows)
     if not windows:
@@ -191,17 +194,20 @@ def train(windows, network: Network, config: TrainConfig, out_dir=None, log_path
             for lo in range(0, len(order), config.batch_size):
                 chunk = order[lo:lo + config.batch_size]
                 adam.zero_grad()
-                try:  # a non-finite activation or loss
-                    stacked = network.decode(np.stack([windows[i].features for i in chunk]))
-                    batch = build_training_batch([stacked], [matches[chunk]], mine_rng)
-                    loss, parts = total_loss(batch, config.weights, network.parameters)
-                except NumericError as exc:
-                    abort_with_last_good(exc)
-                if parts["total"] > config.divergence_limit:
-                    abort_with_last_good(
-                        NumericError(f"loss {parts['total']:.3e} above {config.divergence_limit:.3e}")
-                    )
-                loss.backward()
+                with np.errstate(over="ignore", invalid="ignore"):  # checked below
+                    try:  # a non-finite activation or loss
+                        stacked = network.decode(np.stack([windows[i].features for i in chunk]),
+                                                 "float32")
+                        batch = build_training_batch([stacked], [matches[chunk]], mine_rng)
+                        loss, parts = total_loss(batch, config.weights, network.parameters)
+                    except NumericError as exc:
+                        abort_with_last_good(exc)
+                    if parts["total"] > config.divergence_limit:
+                        abort_with_last_good(NumericError(
+                            f"loss {parts['total']:.3e} above {config.divergence_limit:.3e}"))
+                    loss.backward()
+                if not np.isfinite(adam.grad).all():
+                    abort_with_last_good(NumericError("non-finite gradient"))
                 adam.step()
                 sums += [parts["total"], parts["class"], parts["overlap"],
                          parts["location"], parts["l2"]]

@@ -9,8 +9,9 @@ import pytest
 
 from tadkit.cli import main, parse_thresholds
 from tadkit.errors import DataError
-from tadkit.io import load_annotations, load_predictions, load_sas_features
-from tadkit.model import Network, NetworkConfig, save_checkpoint
+from tadkit.data import ScoreSequence
+from tadkit.io import load_annotations, load_predictions, load_sas_features, save_sas_features
+from tadkit.model import Network, NetworkConfig, load_checkpoint, save_checkpoint
 
 TINY = {
     "synth.train_videos": 3,
@@ -435,6 +436,28 @@ class TestExitCodes:
         assert f"video {manifest['splits']['test'][0]!r}" in err.splitlines()[0]
         assert not out.exists()
 
+    def test_missing_checkpoint_is_data_error(self, tiny_inputs, tmp_path, capsys):
+        out = tmp_path / "predictions.json"
+        assert run("predict", "--data", str(tiny_inputs / "data"), "--checkpoint",
+                   str(tmp_path / "nope.ckpt"), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "nope.ckpt" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("missing", ["predictions", "annotations"])
+    def test_missing_eval_input_is_data_error(self, tmp_path, capsys, missing):
+        paths = {"predictions": tmp_path / "predictions.json",
+                 "annotations": tmp_path / "annotations.json"}
+        paths["predictions"].write_text(json.dumps(valid_predictions()))
+        paths["annotations"].write_text(json.dumps(valid_annotations()))
+        paths[missing] = tmp_path / "nope.json"
+        out = tmp_path / "report.json"
+        assert run("eval", "--predictions", str(paths["predictions"]), "--annotations",
+                   str(paths["annotations"]), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "nope.json" in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.slow
     def test_gradcheck_failure_is_numeric_error(self, capsys):
         # an impossibly tight tolerance forces the failure path
@@ -447,3 +470,59 @@ def test_gradcheck_passes_at_default_tolerance(capsys):
     assert run("gradcheck") == 0
     out = capsys.readouterr().out
     assert "gradient check passed" in out
+
+
+def scale_features(data, split, top=3e38):
+    """Rescale every feature file of ``split`` so its largest score is
+    ``top``: representable in float32 (and in the file), but a float32
+    convolution over it overflows while a float64 one does not."""
+    manifest = json.loads((data / "manifest.json").read_text())
+    for vid in manifest["splits"][split]:
+        path = data / "features" / f"{vid}.sasf"
+        seq = load_sas_features(path)
+        save_sas_features(
+            ScoreSequence(vid, seq.matrix / np.abs(seq.matrix).max() * top, seq.blocks), path)
+    return manifest
+
+
+class TestFloat32Overflow:
+    """A float32 overflow from inputs that are finite in float64 exits 3,
+    with an error line and no NumPy warning."""
+
+    def test_train_checkpoints_the_last_good_parameters(self, tmp_path, tiny_config, capsys):
+        data, runs = tmp_path / "data", tmp_path / "runs"
+        assert run("synth", "--out", str(data), "--config", tiny_config) == 0
+        scale_features(data, "train")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a NumPy RuntimeWarning escapes as an exception
+            code = run("train", "--data", str(data), "--out", str(runs), "--config", tiny_config)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error:") and "requires finite inputs" in err
+        assert "Traceback" not in err and "Warning" not in err
+        initial = Network(NetworkConfig(feature_dim=6, num_classes=2, window_length=128,
+                                        base_filters=6, anchor_filters=8), seed=7)
+        for p, q in zip(load_checkpoint(runs / "model.ckpt").parameters, initial.parameters):
+            assert np.array_equal(p.data, q.data), p.name
+
+    def test_predict_names_the_video(self, tiny_inputs, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(tiny_inputs / "data", data)
+        manifest = scale_features(data, "test")
+        checkpoint = tiny_inputs / "model.ckpt"
+        first = load_sas_features(data / "features" / f"{manifest['splits']['test'][0]}.sasf")
+        network = load_checkpoint(checkpoint)
+        window = first.matrix[:network.config.window_length]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # finite in float64 ...
+            assert np.isfinite(network.decode(window, "float64").class_logits.data).all()
+            # ... and an overflow in float32, which predict computes in
+            out = tmp_path / "predictions.json"
+            code = run("predict", "--data", str(data), "--checkpoint", str(checkpoint),
+                       "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error:") and "Warning" not in err and "Traceback" not in err
+        assert f"video {manifest['splits']['test'][0]!r}" in err.splitlines()[0]
+        assert not out.exists()

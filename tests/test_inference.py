@@ -276,7 +276,7 @@ class TestPredictVideo:
         widths = [b.width for b in self.seq.blocks]
         candidates = []
         for window in slide_windows(self.seq, None, t_w, PREDICTION_OVERLAP, keep_empty=True):
-            decoded = self.net.decode(window.features)
+            decoded = self.net.decode(window.features, "float32")
             probs = softmax(decoded.class_logits).data
             for i in range(len(decoded)):
                 center = window.start + decoded.centers.data[i] * t_w
@@ -362,7 +362,7 @@ class TestStackedDecode:
         shapes, candidates = [], []
         decode = self.net.decode
 
-        def spy_decode(features):
+        def spy_decode(features, *_):  # float64, as the oracle: this checks the stacking
             shapes.append(features.shape)
             return decode(features)
 
@@ -384,3 +384,22 @@ class TestStackedDecode:
         kept.sort(key=lambda d: (-d.confidence, d.start))
         self.assert_close(got, kept)
         assert predict_video(self.seq, self.net, self.categories, config) == got
+
+    def test_float32_candidates_match_float64(self, monkeypatch):
+        candidates = []
+
+        def spy_nms(detections, threshold):
+            candidates.append(detections)
+            return nms(detections, threshold)
+
+        monkeypatch.setattr(tadkit.inference, "nms", spy_nms)
+        predict_video(self.seq, self.net, self.categories, FusionConfig())
+        low, wide = candidates[0], self.per_window_candidates(FusionConfig())
+        assert len(low) == len(wide) > 100
+        assert [d.category for d in low] == [d.category for d in wide]
+        # snippets of a 992-snippet video, and fused scores of order 1;
+        # measured up to 5e-7 snippets and 6e-8 relative
+        assert_allclose([(d.start, d.end) for d in low], [(d.start, d.end) for d in wide],
+                        rtol=0, atol=1e-4)
+        assert_allclose([d.confidence for d in low], [d.confidence for d in wide],
+                        rtol=1e-5, atol=1e-6)

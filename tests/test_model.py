@@ -202,6 +202,31 @@ class TestNetworkForward:
             assert out._parents == () and out._backward_fn is None, field
             assert getattr(graph, field)._parents, field
 
+    def test_float32_decode_casts_only_at_the_edges(self):
+        net = Network(small_config(), seed=3)
+        x = np.random.default_rng(4).uniform(size=(2, 128, 6))
+
+        def graph(decoded):
+            nodes, stack = {}, [decoded.class_logits, decoded.centers]
+            while stack:
+                node = stack.pop()
+                if id(node) not in nodes:
+                    nodes[id(node)] = node
+                    stack.extend(node._parents)
+            return list(nodes.values())
+
+        wide, default, narrow = (graph(net.decode(x, *dtype))
+                                 for dtype in (("float64",), (), ("float32",)))
+        assert len(wide) == len(default)
+        assert all(n.data.dtype == np.float64 for n in wide)
+        # one cast per parameter, one for the input and one back for the heads
+        assert len(narrow) == len(wide) + len(net.parameters) + 2
+        low = net.decode(x, "float32")
+        for field in ("class_logits", "overlap", "centers", "widths"):
+            got, want = getattr(low, field).data, getattr(net.decode(x), field).data
+            assert got.dtype == np.float64, field
+            assert_allclose(got, want, rtol=1e-4, atol=1e-5)
+
     def test_architectures_differ_in_parameter_count(self):
         counts = {
             name: Network(small_config(base_arch=name), seed=0).num_parameters

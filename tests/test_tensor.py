@@ -15,6 +15,7 @@ from tadkit.tensor import (
     Tensor,
     add,
     as_tensor,
+    cast,
     clip,
     concat,
     conv1d,
@@ -531,3 +532,63 @@ class TestGraphLifetime:
             again.backward()
         assert np.array_equal(a.grad, grads[0])
         assert np.array_equal(b.grad, grads[1])
+
+
+class TestCast:
+    """float32 compute over float64 leaves: ops keep their inputs' dtype,
+    and ``cast`` hands gradients back in the source's dtype."""
+
+    def test_same_dtype_is_no_node(self):
+        p = Parameter(np.ones(3), name="p")
+        assert cast(p, np.float64) is p
+        assert cast(p, "float64") is p
+
+    def test_gradient_reaches_the_float64_view(self):
+        p = Parameter(np.array([1.0, -2.0, 3.0]), name="p")
+        low = cast(p, np.float32)
+        assert low.data.dtype == np.float32 and p.data.dtype == np.float64
+        loss = tsum(square(low))
+        assert loss.data.dtype == np.float32
+        loss.backward()
+        assert p.grad is p._grad_view and p.grad.dtype == np.float64
+        assert_allclose(p.grad, [2.0, -4.0, 6.0])
+
+    def test_round_trip_gradient_is_float64(self):
+        p = Parameter(np.array([0.5, 1.5]), name="p")
+        y = cast(mul(cast(p, np.float32), 3.0), np.float64)
+        assert y.data.dtype == np.float64
+        tsum(y).backward()
+        assert_allclose(p.grad, [3.0, 3.0])
+
+    def test_ops_keep_float32(self):
+        rng = np.random.default_rng(0)
+        params = [Parameter(rng.normal(size=shape), name=name)
+                  for name, shape in (("x", (2, 8, 3)), ("k", (3, 3, 4)), ("b", (4,)))]
+        x, k, b = (cast(p, np.float32) for p in params)
+        h = maxpool1d(relu(conv1d(x, k, b, stride=2)), 2, 2)
+        out = tmean(concat([reshape(h, (2, -1)), sigmoid(h).reshape(2, -1)], axis=1))
+        for t in (h, out):
+            assert t.data.dtype == np.float32
+        out.backward()
+        assert h.grad.dtype == np.float32
+        for p in params:
+            assert p.grad.dtype == np.float64 and np.any(p.grad != 0), p.name
+
+    def test_gradient_is_not_held_by_the_cast(self):
+        p = Parameter(np.array([1.0, 2.0]), name="p")
+        low = cast(p, np.float32)
+        tsum(square(low)).backward()
+        assert low.grad is None
+        assert_allclose(p.grad, [2.0, 4.0])
+
+    def test_float32_conv_matches_float64(self):
+        rng = np.random.default_rng(1)
+        xv, kv, bv = rng.normal(size=(2, 20, 5)), rng.normal(size=(3, 5, 6)), rng.normal(size=6)
+        grads = {}
+        for dtype in (np.float64, np.float32):
+            k, b = Parameter(kv, name="k"), Parameter(bv, name="b")
+            out = conv1d(cast(Tensor(xv), dtype), cast(k, dtype), cast(b, dtype))
+            tsum(square(cast(out, np.float64))).backward()
+            grads[dtype] = (out.data, k.grad.copy(), b.grad.copy())
+        for a, b in zip(grads[np.float64], grads[np.float32]):
+            assert_allclose(b, a, rtol=1e-5, atol=1e-4)

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,8 +12,12 @@ from tadkit.errors import NumericError, UsageError
 from tadkit.losses import LossWeights, total_loss
 from tadkit.matching import hard_negative_mine, match_anchors
 from tadkit.model import DecodedAnchors, Network, NetworkConfig, load_checkpoint
-from tadkit.tensor import take
-from tadkit.training import TrainConfig, _epoch_seeds, build_training_batch, train
+from tadkit.optim import Adam
+from tadkit.tensor import mul, take
+from tadkit.training import (
+    TrainConfig, _epoch_seeds, batch_from_selection, build_training_batch, fixed_selection_loss,
+    train,
+)
 
 
 def tiny_dataset(seed=0, videos=4):
@@ -66,7 +71,7 @@ class TestBatchAssembly:
 
 
 class TestStackedMinibatch:
-    def test_one_minibatch_matches_per_window_decoding(self):
+    def test_one_minibatch_matches_per_window_decoding(self, monkeypatch):
         windows = tiny_dataset()[:4]
         config = TrainConfig(epochs=1, learning_rate=1e-3, batch_size=4, seed=3)
 
@@ -79,7 +84,12 @@ class TestStackedMinibatch:
         batch = build_training_batch(decoded, matches, np.random.default_rng(mine_seed))
         _, parts = total_loss(batch, config.weights, net.parameters)
 
-        stats = train(windows, tiny_network(seed=5), config).history[0]
+        # train's float32 minibatch, widened to float64: the oracle checks the
+        # stacking, and per-window float32 GEMMs round apart from stacked ones
+        trained = tiny_network(seed=5)
+        monkeypatch.setattr(trained, "decode",
+                            lambda features, _: Network.decode(trained, features))
+        stats = train(windows, trained, config).history[0]
         got = (stats.total, stats.classification, stats.overlap, stats.location, stats.l2)
         expect = (parts["total"], parts["class"], parts["overlap"], parts["location"],
                   parts["l2"])
@@ -217,6 +227,23 @@ class TestTrainLoop:
         for p in load_checkpoint(tmp_path / "model.ckpt").parameters:
             assert np.all(p.data == 1e200)
 
+    def test_non_finite_gradient_aborts_with_last_good_checkpoint(self, tmp_path, monkeypatch):
+        windows = tiny_dataset()[:2]
+        net = tiny_network(seed=5)
+        initial = [p.data.copy() for p in net.parameters]
+
+        def steep_loss(*args, **kwargs):  # a finite loss whose float32 gradient overflows
+            loss, parts = total_loss(*args, **kwargs)
+            return mul(loss, 1e300), parts
+
+        monkeypatch.setattr(tadkit.training, "total_loss", steep_loss)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="diverged.*non-finite gradient"):
+                train(windows, net, TrainConfig(epochs=1, batch_size=2), out_dir=tmp_path)
+        for p, b in zip(load_checkpoint(tmp_path / "model.ckpt").parameters, initial):
+            assert np.array_equal(p.data, b), p.name
+
     def test_epoch_log_is_json_lines(self, tmp_path):
         windows = tiny_dataset()[:4]
         net = tiny_network()
@@ -248,6 +275,55 @@ class TestTrainLoop:
                                     base_filters=4, anchor_filters=4), seed=0)
         with pytest.raises(UsageError, match="expects"):
             train(windows, net, TrainConfig(epochs=1))
+
+
+class TestFloat32Compute:
+    """float32 forward and backward passes over float64 masters."""
+
+    #: largest |float32 - float64| gradient entry, relative to the largest
+    #: float64 entry of the same parameter; measured up to 6e-7
+    GRAD_RTOL = 1e-5
+
+    @staticmethod
+    def float32_loss(net, window, selection):
+        """The loss of ``fixed_selection_loss``'s selection, decoded in float32."""
+        matched = match_anchors(net.anchors, window.targets)
+        batch = batch_from_selection([net.decode(window.features, "float32")], [matched],
+                                     [selection])
+        return total_loss(batch, LossWeights(), net.parameters)[0]
+
+    def test_gradient_matches_float64_over_two_steps(self):
+        windows = tiny_dataset()
+        net = tiny_network(seed=3)
+        adam = Adam(net.parameters, learning_rate=1e-2)
+        for step in range(2):  # a gradient left over from step 1 would show in step 2
+            window = windows[step]
+            loss_fn, selection = fixed_selection_loss(net, window.features, window.targets,
+                                                      np.random.default_rng(step))
+            grads = {}
+            for dtype, loss in (("float64", loss_fn),
+                                ("float32", lambda: self.float32_loss(net, window, selection))):
+                adam.zero_grad()
+                loss().backward()
+                grads[dtype] = [p.grad.copy() for p in net.parameters]
+            for p, g64, g32 in zip(net.parameters, grads["float64"], grads["float32"]):
+                assert g32.dtype == np.float64, p.name
+                assert np.abs(g32 - g64).max() <= self.GRAD_RTOL * np.abs(g64).max(), (step, p.name)
+            adam.step()
+
+    def test_masters_gradients_and_moments_stay_float64(self):
+        windows = tiny_dataset()[:4]
+        net = tiny_network(seed=2)
+        adam = Adam(net.parameters, learning_rate=1e-3)
+        _, selection = fixed_selection_loss(net, windows[0].features, windows[0].targets,
+                                            np.random.default_rng(0))
+        self.float32_loss(net, windows[0], selection).backward()
+        adam.step()
+        train(windows, net, TrainConfig(epochs=1, batch_size=2))
+        assert adam.data.dtype == adam.grad.dtype == adam.moments.dtype == np.float64
+        for p in net.parameters:
+            assert p.data.dtype == p.grad.dtype == np.float64, p.name
+            assert p.data.base is adam.data and p.grad.base is adam.grad, p.name
 
 
 def test_a_minibatch_graph_is_freed_before_the_next_is_built():

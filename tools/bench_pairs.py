@@ -1,0 +1,172 @@
+"""Run ``perfbench/run.py`` in pairs on two checkouts and summarise them.
+
+Usage, from anywhere:
+
+    python3 tools/bench_pairs.py --parent DIR --change DIR --seeds 3001-3010 \\
+        --out BENCH_label.json [--workloads train_default,predict_long,pipeline_small]
+        [--seconds 20] [--trace train_default:901]
+
+Each seed is one pair: the benchmark runs once in each checkout, unchanged
+and one run at a time, and which side goes first alternates from seed to
+seed. The output file holds every raw result line, per workload and
+end-to-end metric each side's median and quartiles and the change's wins,
+the ``map_50`` of every ``pipeline_small`` run, the traced per-layer figures
+of each side when ``--trace`` is given, and the machine the runs were made
+on. All metrics compared here are lower-is-better.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import re
+import statistics
+import subprocess
+import sys
+import time
+
+WORKLOADS = ("train_default", "predict_long", "pipeline_small")
+SIDES = ("parent", "change")
+
+
+def parse_seeds(spec):
+    lo, _, hi = spec.partition("-")
+    return list(range(int(lo), int(hi or lo) + 1))
+
+
+def run_once(checkout, workload, seed, seconds, trace=0):
+    """One benchmark run: its result object, its ``name: value unit`` info
+    lines, and its wall time."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", str(trace)]
+    tic = time.perf_counter()
+    done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=False)
+    wall = time.perf_counter() - tic
+    lines = done.stdout.strip().splitlines()
+    if not lines or not lines[-1].startswith("{"):
+        raise SystemExit(f"{checkout}: {workload} seed {seed} printed no result:\n"
+                         f"{done.stdout}\n{done.stderr}")
+    info = {m[1]: float(m[2]) for m in
+            (re.match(r"^(\w+): ([-0-9.e+]+) \S+ \(median of \d+\)$", line) for line in lines)
+            if m}
+    return {"result": json.loads(lines[-1]), "info": info, "wall_s": round(wall, 2)}
+
+
+def spread(values):
+    q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
+
+
+def summarise(runs):
+    out = {}
+    for workload in sorted({r["workload"] for r in runs}):
+        pairs = {}
+        for r in runs:
+            if r["workload"] == workload:
+                pairs.setdefault(r["seed"], {})[r["side"]] = r["result"]["metrics"]
+        pairs = [p for p in pairs.values() if set(p) == set(SIDES)]
+        metrics = sorted(set.intersection(*(set(p[s]) for p in pairs for s in SIDES)))
+        out[workload] = {}
+        for name in metrics:
+            values = {s: [p[s][name]["value"] for p in pairs] for s in SIDES}
+            sides = {s: spread(values[s]) for s in SIDES}
+            wins = sum(c < p for p, c in zip(values["parent"], values["change"]))
+            losses = sum(c > p for p, c in zip(values["parent"], values["change"]))
+            base = sides["parent"]["median"]
+            out[workload][name] = {
+                **sides, "pairs": len(pairs), "change_wins": wins, "change_losses": losses,
+                "median_change_pct": 100.0 * (sides["change"]["median"] - base) / base,
+                "parent_iqr": sides["parent"]["q3"] - sides["parent"]["q1"],
+            }
+    return out
+
+
+def map_table(runs, floor=0.5):
+    seeds = {}
+    for r in runs:
+        if r["workload"] == "pipeline_small" and "map_50" in r["info"]:
+            seeds.setdefault(r["seed"], {})[r["side"]] = r["info"]["map_50"]
+    if not seeds:
+        return None
+    values = {s: [v[s] for v in seeds.values() if s in v] for s in SIDES}
+    return {"per_seed": {str(k): v for k, v in sorted(seeds.items())},
+            **{s: {**spread(values[s]), "min": min(values[s])} for s in SIDES if values[s]},
+            "floor": floor}
+
+
+def environment(args):
+    cpu = None
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            cpu = next((l.split(":", 1)[1].strip() for l in fh if l.startswith("model name")),
+                       None)
+    except OSError:
+        pass
+    import numpy
+
+    try:
+        blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas.get('version', '')}".strip()
+    except Exception:  # the layout of numpy's build record varies between versions
+        blas = None
+    return {"cpu": cpu, "logical_cpus": os.cpu_count(), "platform": platform.platform(),
+            "python": platform.python_version(), "numpy": numpy.__version__, "blas": blas,
+            "blas_threads": "1 (set by perfbench/run.py)", "seconds_per_run": args.seconds}
+
+
+def src_digest(checkout):
+    """SHA-256 over the path and bytes of every ``.py`` file under ``src/``,
+    so a side can be matched to a commit without naming where it ran."""
+    root = os.path.join(checkout, "src")
+    digest = hashlib.sha256()
+    for path in sorted(os.path.relpath(os.path.join(folder, name), root)
+                       for folder, _, names in os.walk(root) for name in names
+                       if name.endswith(".py")):
+        digest.update(path.encode() + b"\0")
+        with open(os.path.join(root, path), "rb") as fh:
+            digest.update(fh.read())
+    return digest.hexdigest()
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--parent", required=True)
+    p.add_argument("--change", required=True)
+    p.add_argument("--seeds", required=True, help="first-last, one pair per seed")
+    p.add_argument("--out", required=True)
+    p.add_argument("--workloads", default=",".join(WORKLOADS))
+    p.add_argument("--seconds", type=float, default=20)
+    p.add_argument("--trace", default=None, help="workload:seed for one traced run per side")
+    args = p.parse_args(argv)
+    dirs = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+
+    runs = []
+    for workload in args.workloads.split(","):
+        for i, seed in enumerate(parse_seeds(args.seeds)):
+            for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+                run = run_once(dirs[side], workload, seed, args.seconds)
+                runs.append({"workload": workload, "seed": seed, "side": side,
+                             "first": side == (SIDES[i % 2]), **run})
+                print(f"{workload} seed {seed} {side}: {json.dumps(run['result']['metrics'])}",
+                      flush=True)
+    traces = {}
+    if args.trace:
+        workload, seed = args.trace.split(":")
+        traces = {"workload": workload, "seed": int(seed), **{
+            side: run_once(dirs[side], workload, int(seed), args.seconds, trace=1)["result"]
+            for side in SIDES}}
+    doc = {**{side: {"src_sha256": src_digest(dirs[side])} for side in SIDES},
+           "environment": environment(args), "summary": summarise(runs),
+           "map_50": map_table(runs), "traces": traces, "runs": runs}
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    print(f"{len(runs)} runs -> {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
