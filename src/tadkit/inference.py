@@ -1,8 +1,9 @@
 """Prediction-time fusion, non-maximum suppression, and video inference.
 
-Prediction runs as one array pipeline per video. Windows are decoded in
-stacks of DECODE_STACK, one batched float32 pass per stack under
-``no_grad()``, and the anchors of all windows become one row each of
+Prediction runs as one array pipeline per video. The parameters are cast
+to float32 once per video; windows are decoded over that copy in stacks of
+DECODE_STACK, one batched float32 pass per stack (one cast of its input)
+under ``no_grad()``, and the anchors of all windows become one row each of
 per-video arrays: softmax class probabilities (N, K+1), overlap (N,), and
 start/end in video snippets. Each row's class probabilities are combined
 with the mean snippet scores over its span (summed over blocks, averaged
@@ -168,13 +169,16 @@ def nms(detections, threshold):
 def predict_video(seq: ScoreSequence, network: Network, categories, config: FusionConfig):
     """Detect actions in one video.
 
-    Windows at 25% overlap are decoded in stacks of DECODE_STACK (the
-    last may be shorter), each as one float32 batch with no graph; their
-    anchors are mapped to video coordinates, clipped to [0, T] and gathered
-    into per-video arrays in window-then-anchor order. Zero-width rows are
-    dropped, the rest are fused, suppressed per category, and returned
-    sorted by descending confidence. A non-finite activation raises
-    NumericError naming the video and the first window start of its stack.
+    The parameters are cast to float32 once for the whole video. Windows
+    at 25% overlap are decoded over that copy in stacks of DECODE_STACK
+    (the last may be shorter), each as one float32 batch with no graph and
+    one cast of its input; their anchors are mapped to video coordinates,
+    clipped to [0, T] and gathered into per-video arrays in
+    window-then-anchor order. Zero-width rows are dropped, the rest are
+    fused, suppressed per category, and returned sorted by descending
+    confidence. A non-finite activation, from a parameter that overflows
+    float32 too, raises NumericError naming the video and the first window
+    start of its stack.
     """
     if len(categories) != network.config.num_classes:
         raise UsageError(
@@ -192,12 +196,16 @@ def predict_video(seq: ScoreSequence, network: Network, categories, config: Fusi
     windows = slide_windows(seq, None, t_w, PREDICTION_OVERLAP, keep_empty=True)
 
     probs, overlap, starts, ends = [], [], [], []
+    # once per video, as nothing changes the parameters in between; a value
+    # beyond float32's range casts to inf, silently, and the first stack raises
+    with no_grad(), np.errstate(over="ignore", invalid="ignore"):
+        params = network.cast_parameters("float32")
     for first in range(0, len(windows), DECODE_STACK):
         stack = windows[first:first + DECODE_STACK]
         # no graph, and no NumPy warning: a non-finite activation raises below
         with no_grad(), np.errstate(over="ignore", invalid="ignore"):
             try:
-                decoded = network.decode(np.stack([w.features for w in stack]), "float32")
+                decoded = network.decode(np.stack([w.features for w in stack]), params)
                 probs.append(softmax(decoded.class_logits).data)
             except NumericError as exc:
                 raise NumericError(f"video {seq.video_id!r}, windows from snippet "

@@ -298,19 +298,11 @@ class Network:
 
     def _build(self, config):
         """Lay the parameters out over one flat vector, allocated once and
-        left uninitialised (the caller fills every view), and wire the layers."""
+        left uninitialised (the caller fills every view), and build the anchor grid."""
         self.config = config
         layout = _layout(config)
         _, _, views = flat_views([shape for _, shape in layout])
         self._params = [Parameter(d, name, g) for (name, _), (d, g) in zip(layout, views)]
-        params = iter(self._params)
-        self.base_ops = []  # ("conv", kernel_p, bias_p, stride) | ("pool", size, stride)
-        for layer in config.base_layers():
-            if layer.kind == "conv":
-                self.base_ops.append(("conv", next(params), next(params), layer.stride))
-            else:
-                self.base_ops.append(("pool", layer.kernel, layer.stride))
-        self.heads = [tuple(islice(params, 4)) for _ in config.ratios]  # (ak, ab, pk, pb)
         self.anchors = np.concatenate([
             anchor_grid(m, ratios, layer=f)
             for f, (m, ratios) in enumerate(zip(config.map_lengths, config.ratios))
@@ -328,52 +320,64 @@ class Network:
     def num_anchors(self) -> int:
         return len(self.anchors)
 
-    def forward(self, features, compute_dtype="float64"):
+    def cast_parameters(self, dtype):
+        """Every parameter in declaration order, cast to ``dtype`` ("float32"
+        or "float64"): in float32 one ``cast`` each, whose gradient reaches
+        the float64 parameter; in float64 the ``Parameter`` objects
+        themselves. The copies are not kept: the parameters change under
+        every optimizer step, so a caller casts once per run of unchanged
+        parameters (a video in ``predict_video``, a minibatch in ``train``)."""
+        return [cast(p, dtype) for p in self._params]
+
+    def forward(self, features, params=None):
         """Run one (T_w, D) window, or a (B, T_w, D) stack of windows,
-        through the network in ``compute_dtype`` ("float32" or "float64").
+        through the network over ``params``, a ``cast_parameters`` list
+        (default: the float64 parameters). The network computes in the
+        dtype of that list.
 
         Returns one tensor per anchor map, reshaped to (cells * ratios,
         head_width + 3) with rows in anchor order, behind the stack's
-        leading window axis when there is one. In float32 the input and
-        each parameter are cast once, and the gradients reach the float64
-        parameters through their casts; in float64 nothing is cast.
+        leading window axis when there is one. The input is cast to the
+        parameters' dtype once per call; the parameters are not cast here,
+        so in float64 nothing is cast at all.
         """
+        params = self._params if params is None else params
+        if len(params) != len(self._params):
+            raise UsageError(f"expected {len(self._params)} parameters, got {len(params)}")
         x = as_tensor(features)
         want = (self.config.window_length, self.config.feature_dim)
         if x.data.shape[-2:] != want or x.data.ndim not in (2, 3):
             raise UsageError(f"expected features of shape {want}, got {x.data.shape}")
-        x = cast(x, compute_dtype)
-        for op in self.base_ops:
-            if op[0] == "conv":
-                _, k, b, stride = op
-                x = relu(conv1d(x, cast(k, compute_dtype), cast(b, compute_dtype),
-                                stride=stride, padding="same"))
+        x = cast(x, params[0].data.dtype)
+        weights = iter(params)
+        for layer in self.config.base_layers():
+            if layer.kind == "conv":
+                x = relu(conv1d(x, next(weights), next(weights), stride=layer.stride,
+                                padding="same"))
             else:
-                _, size, stride = op
-                x = maxpool1d(x, size, stride)
+                x = maxpool1d(x, layer.kernel, layer.stride)
         cols = self.config.head_width + 3
         outputs = []
-        for f, (ak, ab, pk, pb) in enumerate(self.heads):
-            x = relu(conv1d(x, cast(ak, compute_dtype), cast(ab, compute_dtype),
-                            stride=2, padding="same"))
-            raw = conv1d(x, cast(pk, compute_dtype), cast(pb, compute_dtype),
-                         stride=1, padding="same")
+        for _ in self.config.ratios:  # one head per anchor map
+            ak, ab, pk, pb = islice(weights, 4)
+            x = relu(conv1d(x, ak, ab, stride=2, padding="same"))
+            raw = conv1d(x, pk, pb, stride=1, padding="same")
             *lead, m, width = raw.data.shape
             outputs.append(reshape(raw, (*lead, m * (width // cols), cols)))
         return outputs
 
-    def decode(self, features, compute_dtype="float64") -> DecodedAnchors:
+    def decode(self, features, params=None) -> DecodedAnchors:
         """Forward plus anchor decoding, all differentiable.
 
         Takes one (T_w, D) window or a (B, T_w, D) stack; a stack decodes
         as one graph whose fields have a leading window axis. The forward
-        pass runs in ``compute_dtype``; the decoded fields are float64
-        either way. Centers and widths stay in window-normalized coordinates
-        and are not clipped here; clipping happens only on final video-level
-        output.
+        pass runs over ``params`` as in ``forward``, in their dtype; the
+        decoded fields are float64 either way. Centers and widths stay in
+        window-normalized coordinates and are not clipped here; clipping
+        happens only on final video-level output.
         """
         cfg = self.config
-        outputs = self.forward(features, compute_dtype)
+        outputs = self.forward(features, params)
         raw = cast(concat(outputs, axis=outputs[0].data.ndim - 2), np.float64)
         kp = cfg.head_width
         logits = raw[..., :kp]

@@ -5,10 +5,11 @@ targets, so they are computed once up front, as one (windows, anchors)
 match array. Each epoch reshuffles the windows and re-mines negatives
 (mining depends on current predictions). Each minibatch is decoded as one
 stacked graph, mined window by window, and gathered with one take per
-field. The network computes in float32 over float64 parameters; the
-losses, the gradient vector, the Adam moments and the checkpoints are
-float64. Given the same windows, seed and config, two runs produce
-bit-identical checkpoints.
+field. The network computes in float32 over float64 parameters, cast
+once per minibatch since every step changes them; the losses, the
+gradient vector, the Adam moments and the checkpoints are float64. Given
+the same windows, seed and config, two runs produce bit-identical
+checkpoints.
 """
 
 from __future__ import annotations
@@ -197,7 +198,7 @@ def train(windows, network: Network, config: TrainConfig, out_dir=None, log_path
                 with np.errstate(over="ignore", invalid="ignore"):  # checked below
                     try:  # a non-finite activation or loss
                         stacked = network.decode(np.stack([windows[i].features for i in chunk]),
-                                                 "float32")
+                                                 network.cast_parameters("float32"))
                         batch = build_training_batch([stacked], [matches[chunk]], mine_rng)
                         loss, parts = total_loss(batch, config.weights, network.parameters)
                     except NumericError as exc:

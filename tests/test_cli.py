@@ -7,9 +7,11 @@ import warnings
 import numpy as np
 import pytest
 
+import tadkit.cli
 from tadkit.cli import main, parse_thresholds
 from tadkit.errors import DataError
 from tadkit.data import ScoreSequence
+from tadkit.inference import predict_video
 from tadkit.io import load_annotations, load_predictions, load_sas_features, save_sas_features
 from tadkit.model import Network, NetworkConfig, load_checkpoint, save_checkpoint
 
@@ -290,6 +292,27 @@ def tiny_inputs(tmp_path_factory):
     return root
 
 
+def test_suppress_background_setting_reaches_fusion(tiny_inputs, tmp_path, monkeypatch):
+    configs = []
+
+    def spy_predict_video(seq, network, categories, config):
+        configs.append(config)
+        return predict_video(seq, network, categories, config)
+
+    monkeypatch.setattr(tadkit.cli, "predict_video", spy_predict_video)
+    found = {}
+    for suppress in (False, True):
+        config, out = tmp_path / f"{suppress}.json", tmp_path / f"predictions_{suppress}.json"
+        config.write_text(json.dumps({"fusion.suppress_background": suppress}))
+        assert run("predict", "--data", str(tiny_inputs / "data"), "--checkpoint",
+                   str(tiny_inputs / "model.ckpt"), "--out", str(out), "--config",
+                   str(config)) == 0
+        found[suppress] = load_predictions(out)
+    # TINY has two test videos
+    assert [c.suppress_background for c in configs] == [False, False, True, True]
+    assert len(found[True]) < len(found[False])
+
+
 def edit_checkpoint_config(edit):
     def apply(data, checkpoint):
         payload = checkpoint.read_bytes()
@@ -516,11 +539,31 @@ class TestFloat32Overflow:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             # finite in float64 ...
-            assert np.isfinite(network.decode(window, "float64").class_logits.data).all()
+            wide = network.decode(window, network.cast_parameters("float64"))
+            assert np.isfinite(wide.class_logits.data).all()
             # ... and an overflow in float32, which predict computes in
             out = tmp_path / "predictions.json"
             code = run("predict", "--data", str(data), "--checkpoint", str(checkpoint),
                        "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error:") and "Warning" not in err and "Traceback" not in err
+        assert f"video {manifest['splits']['test'][0]!r}" in err.splitlines()[0]
+        assert not out.exists()
+
+    def test_predict_names_the_video_of_a_parameter_beyond_float32(self, tiny_inputs,
+                                                                    tmp_path, capsys):
+        network = load_checkpoint(tiny_inputs / "model.ckpt")
+        network.parameters[0].data.flat[0] = 1e300  # finite, and inf once cast to float32
+        checkpoint = tmp_path / "big.ckpt"
+        save_checkpoint(network, checkpoint)
+        assert load_checkpoint(checkpoint).parameters[0].data.flat[0] == 1e300
+        manifest = json.loads((tiny_inputs / "data" / "manifest.json").read_text())
+        out = tmp_path / "predictions.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run("predict", "--data", str(tiny_inputs / "data"), "--checkpoint",
+                       str(checkpoint), "--out", str(out))
         err = capsys.readouterr().err
         assert code == 3
         assert err.startswith("error:") and "Warning" not in err and "Traceback" not in err

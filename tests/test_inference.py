@@ -7,6 +7,7 @@ from tadkit.data import (
 )
 from tadkit.errors import ConfigError, DataError, UsageError
 import tadkit.inference
+import tadkit.model
 from tadkit.inference import (
     DECODE_STACK,
     PREDICTION_OVERLAP,
@@ -18,7 +19,7 @@ from tadkit.inference import (
     predict_video,
 )
 from tadkit.model import Network, NetworkConfig
-from tadkit.tensor import softmax
+from tadkit.tensor import Parameter, softmax
 
 from oracles import brute_nms, direct_mean_scores
 
@@ -266,17 +267,18 @@ class TestPredictVideo:
                         iou = inter / ((a.end - a.start) + (b.end - b.start) - inter)
                         assert iou <= 0.1 + 1e-12
 
-    def test_matches_per_candidate_recomputation(self):
-        # every window's anchors decoded, clipped and fused one at a time,
-        # then suppressed by the brute-force NMS
-        config = FusionConfig()
-        t_v = self.seq.num_snippets
+    def check_per_candidate(self, seq, config, monkeypatch):
+        """``predict_video`` against every window's anchors decoded, clipped
+        and fully fused one at a time, background-argmax rows dropped when
+        ``config.suppress_background``, then the brute-force NMS. Returns
+        the counts of candidates that reached NMS and of rows dropped."""
+        t_v = seq.num_snippets
         t_w = self.net.config.window_length
-        alignment = block_alignment(self.seq, self.categories)
-        widths = [b.width for b in self.seq.blocks]
-        candidates = []
-        for window in slide_windows(self.seq, None, t_w, PREDICTION_OVERLAP, keep_empty=True):
-            decoded = self.net.decode(window.features, "float32")
+        alignment = block_alignment(seq, self.categories)
+        widths = [b.width for b in seq.blocks]
+        candidates, dropped = [], 0
+        for window in slide_windows(seq, None, t_w, PREDICTION_OVERLAP, keep_empty=True):
+            decoded = self.net.decode(window.features, self.net.cast_parameters("float32"))
             probs = softmax(decoded.class_logits).data
             for i in range(len(decoded)):
                 center = window.start + decoded.centers.data[i] * t_w
@@ -285,20 +287,52 @@ class TestPredictVideo:
                 end = min(max(center + width / 2, 0.0), t_v)
                 if end <= start:
                     continue
-                mean = direct_mean_scores(self.seq.matrix, widths, alignment,
-                                          start, end, 3)
+                mean = direct_mean_scores(seq.matrix, widths, alignment, start, end, 3)
                 fused = decoded.overlap.data[i] * (probs[i] + mean)
+                if config.suppress_background and int(np.argmax(fused)) == 0:
+                    dropped += 1
+                    continue
                 category = 1 + int(np.argmax(fused[1:]))
-                candidates.append(Detection(self.seq.video_id, float(start), float(end),
+                candidates.append(Detection(seq.video_id, float(start), float(end),
                                             category, float(fused[category])))
         kept = [candidates[i] for i in brute_nms(candidates, config.nms_threshold)]
         kept.sort(key=lambda d: (-d.confidence, d.start))
-        got = predict_video(self.seq, self.net, self.categories, config)
+
+        reached = []
+
+        def spy_nms(detections, threshold):
+            reached.append(detections)
+            return nms(detections, threshold)
+
+        monkeypatch.setattr(tadkit.inference, "nms", spy_nms)
+        got = predict_video(seq, self.net, self.categories, config)
+        # NMS sees exactly the rows kept, in order; a window decoded on its
+        # own rounds apart from its stack in float32, so positions are close
+        assert len(reached) == 1 and len(reached[0]) == len(candidates)
+        assert [d.category for d in reached[0]] == [d.category for d in candidates]
+        assert_allclose([(d.start, d.end) for d in reached[0]],
+                        [(d.start, d.end) for d in candidates], rtol=0, atol=1e-4)
         assert len(got) == len(kept)
         for g, k in zip(got, kept):
             assert (g.video_id, g.start, g.end, g.category) == (
                 k.video_id, k.start, k.end, k.category)
             assert_allclose(g.confidence, k.confidence, rtol=1e-12)
+        return len(candidates), dropped
+
+    def test_matches_per_candidate_recomputation(self, monkeypatch):
+        self.check_per_candidate(self.seq, FusionConfig(), monkeypatch)
+
+    def test_suppress_background_drops_background_rows_before_nms(self, monkeypatch):
+        # one short instance in a long video: many spans are mostly background
+        cfg = SynthConfig(num_videos=1, num_classes=2, block_names=("a", "b"),
+                          min_video_length=400, max_video_length=400, max_instances=1,
+                          min_instance_length=60, max_instance_length=90, noise_sigma=0.05)
+        (seq,), _ = synth_generate(cfg, 5)
+        reached, dropped = self.check_per_candidate(
+            seq, FusionConfig(suppress_background=True), monkeypatch)
+        assert reached and dropped  # both kinds of row occur
+        everything, none = self.check_per_candidate(seq, FusionConfig(), monkeypatch)
+        assert (everything, none) == (reached + dropped, 0)
 
     def test_category_count_mismatch_rejected(self):
         with pytest.raises(UsageError, match="categories"):
@@ -384,6 +418,20 @@ class TestStackedDecode:
         kept.sort(key=lambda d: (-d.confidence, d.start))
         self.assert_close(got, kept)
         assert predict_video(self.seq, self.net, self.categories, config) == got
+
+    def test_parameters_are_cast_once_per_video(self, monkeypatch):
+        casts = []
+        cast = tadkit.model.cast
+
+        def spy_cast(a, dtype):
+            if isinstance(a, Parameter):
+                casts.append(a.name)
+            return cast(a, dtype)
+
+        monkeypatch.setattr(tadkit.model, "cast", spy_cast)
+        predict_video(self.seq, self.net, self.categories, FusionConfig())
+        assert len(self.windows) > 2 * DECODE_STACK  # three stacks share the casts
+        assert casts == [p.name for p in self.net.parameters]
 
     def test_float32_candidates_match_float64(self, monkeypatch):
         candidates = []

@@ -20,7 +20,9 @@ from tadkit.model import (
     save_checkpoint,
 )
 from tadkit.optim import xavier_init
-from tadkit.tensor import flat_parameters, no_grad, square, tmean
+from tadkit.tensor import (
+    as_tensor, cast, conv1d, flat_parameters, maxpool1d, no_grad, relu, reshape, square, tmean,
+)
 
 
 def small_config(**kw):
@@ -135,6 +137,30 @@ class TestNetworkConfig:
             NetworkConfig.from_dict(doc)
 
 
+def per_conv_cast_forward(net, features):
+    """``Network.forward`` in float32 with each convolution casting its own
+    kernel and bias as it runs, written out layer by layer."""
+    params = iter(net.parameters)
+
+    def conv(x, stride):
+        return conv1d(x, cast(next(params), np.float32), cast(next(params), np.float32),
+                      stride=stride, padding="same")
+
+    x = cast(as_tensor(features), np.float32)
+    for layer in net.config.base_layers():
+        if layer.kind == "conv":
+            x = relu(conv(x, layer.stride))
+        else:
+            x = maxpool1d(x, layer.kernel, layer.stride)
+    cols, outputs = net.config.head_width + 3, []
+    for _ in net.config.ratios:
+        x = relu(conv(x, 2))
+        raw = conv(x, 1)
+        *lead, m, width = raw.data.shape
+        outputs.append(reshape(raw, (*lead, m * (width // cols), cols)))
+    return outputs
+
+
 class TestNetworkForward:
     def test_map_shapes(self):
         cfg = small_config()
@@ -215,17 +241,41 @@ class TestNetworkForward:
                     stack.extend(node._parents)
             return list(nodes.values())
 
-        wide, default, narrow = (graph(net.decode(x, *dtype))
-                                 for dtype in (("float64",), (), ("float32",)))
+        wide, default, narrow = (graph(net.decode(x, *params)) for params in (
+            (net.cast_parameters("float64"),), (), (net.cast_parameters("float32"),)))
         assert len(wide) == len(default)
         assert all(n.data.dtype == np.float64 for n in wide)
         # one cast per parameter, one for the input and one back for the heads
         assert len(narrow) == len(wide) + len(net.parameters) + 2
-        low = net.decode(x, "float32")
+        low = net.decode(x, net.cast_parameters("float32"))
         for field in ("class_logits", "overlap", "centers", "widths"):
             got, want = getattr(low, field).data, getattr(net.decode(x), field).data
             assert got.dtype == np.float64, field
             assert_allclose(got, want, rtol=1e-4, atol=1e-5)
+
+    def test_cast_parameters(self):
+        net = Network(small_config(), seed=3)
+        wide, low = net.cast_parameters("float64"), net.cast_parameters("float32")
+        assert len(wide) == len(low) == len(net.parameters)
+        for p, w, c in zip(net.parameters, wide, low):
+            assert w is p, p.name  # no cast node in float64
+            assert c.data.dtype == np.float32 and c._parents[0] is p, p.name
+            assert np.array_equal(c.data, p.data.astype(np.float32)), p.name
+
+    def test_float32_decode_over_a_cast_list_equals_casting_in_the_pass(self, monkeypatch):
+        net = Network(small_config(), seed=3)
+        x = np.random.default_rng(4).uniform(size=(2, 128, 6))
+        shared = net.decode(x, net.cast_parameters("float32"))
+        monkeypatch.setattr(net, "forward",
+                            lambda features, _: per_conv_cast_forward(net, features))
+        in_pass = net.decode(x)
+        for field in ("class_logits", "overlap", "centers", "widths"):
+            assert np.array_equal(getattr(shared, field).data, getattr(in_pass, field).data), field
+
+    def test_a_cast_list_of_the_wrong_length_is_rejected(self):
+        net = Network(small_config(), seed=3)
+        with pytest.raises(UsageError, match="parameters"):
+            net.decode(np.zeros((128, 6)), net.cast_parameters("float32")[:-1])
 
     def test_architectures_differ_in_parameter_count(self):
         counts = {

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import tadkit.model
 import tadkit.training
 from tadkit.data import SynthConfig, shuffle_training_set, slide_windows, synth_generate
 from tadkit.errors import NumericError, UsageError
@@ -13,7 +14,7 @@ from tadkit.losses import LossWeights, total_loss
 from tadkit.matching import hard_negative_mine, match_anchors
 from tadkit.model import DecodedAnchors, Network, NetworkConfig, load_checkpoint
 from tadkit.optim import Adam
-from tadkit.tensor import mul, take
+from tadkit.tensor import Parameter, mul, take
 from tadkit.training import (
     TrainConfig, _epoch_seeds, batch_from_selection, build_training_batch, fixed_selection_loss,
     train,
@@ -288,8 +289,8 @@ class TestFloat32Compute:
     def float32_loss(net, window, selection):
         """The loss of ``fixed_selection_loss``'s selection, decoded in float32."""
         matched = match_anchors(net.anchors, window.targets)
-        batch = batch_from_selection([net.decode(window.features, "float32")], [matched],
-                                     [selection])
+        decoded = net.decode(window.features, net.cast_parameters("float32"))
+        batch = batch_from_selection([decoded], [matched], [selection])
         return total_loss(batch, LossWeights(), net.parameters)[0]
 
     def test_gradient_matches_float64_over_two_steps(self):
@@ -310,6 +311,20 @@ class TestFloat32Compute:
                 assert g32.dtype == np.float64, p.name
                 assert np.abs(g32 - g64).max() <= self.GRAD_RTOL * np.abs(g64).max(), (step, p.name)
             adam.step()
+
+    def test_parameters_are_cast_once_per_minibatch(self, monkeypatch):
+        casts = []
+        cast = tadkit.model.cast
+
+        def spy_cast(a, dtype):
+            if isinstance(a, Parameter):
+                casts.append(a.name)
+            return cast(a, dtype)
+
+        monkeypatch.setattr(tadkit.model, "cast", spy_cast)
+        net = tiny_network(seed=2)
+        train(tiny_dataset()[:6], net, TrainConfig(epochs=1, batch_size=4))  # minibatches of 4, 2
+        assert casts == 2 * [p.name for p in net.parameters]
 
     def test_masters_gradients_and_moments_stay_float64(self):
         windows = tiny_dataset()[:4]

@@ -11,8 +11,9 @@ and one run at a time, and which side goes first alternates from seed to
 seed. The output file holds every raw result line, per workload and
 end-to-end metric each side's median and quartiles and the change's wins,
 the ``map_50`` of every ``pipeline_small`` run, the traced per-layer figures
-of each side when ``--trace`` is given, and the machine the runs were made
-on. All metrics compared here are lower-is-better.
+of each side when ``--trace`` is given, each side's ``src/`` digest and
+line count, and the machine the runs were made on. All metrics compared
+here are lower-is-better.
 """
 
 from __future__ import annotations
@@ -117,18 +118,21 @@ def environment(args):
             "blas_threads": "1 (set by perfbench/run.py)", "seconds_per_run": args.seconds}
 
 
-def src_digest(checkout):
+def src_record(checkout):
     """SHA-256 over the path and bytes of every ``.py`` file under ``src/``,
-    so a side can be matched to a commit without naming where it ran."""
+    so a side can be matched to a commit without naming where it ran, and
+    the line count of those files, so a change's growth of ``src/`` shows."""
     root = os.path.join(checkout, "src")
-    digest = hashlib.sha256()
+    digest, lines = hashlib.sha256(), 0
     for path in sorted(os.path.relpath(os.path.join(folder, name), root)
                        for folder, _, names in os.walk(root) for name in names
                        if name.endswith(".py")):
         digest.update(path.encode() + b"\0")
         with open(os.path.join(root, path), "rb") as fh:
-            digest.update(fh.read())
-    return digest.hexdigest()
+            data = fh.read()
+        digest.update(data)
+        lines += data.count(b"\n")
+    return {"src_sha256": digest.hexdigest(), "src_lines": lines}
 
 
 def main(argv=None):
@@ -158,7 +162,7 @@ def main(argv=None):
         traces = {"workload": workload, "seed": int(seed), **{
             side: run_once(dirs[side], workload, int(seed), args.seconds, trace=1)["result"]
             for side in SIDES}}
-    doc = {**{side: {"src_sha256": src_digest(dirs[side])} for side in SIDES},
+    doc = {**{side: src_record(dirs[side]) for side in SIDES},
            "environment": environment(args), "summary": summarise(runs),
            "map_50": map_table(runs), "traces": traces, "runs": runs}
     with open(args.out, "w", encoding="utf-8") as fh:
