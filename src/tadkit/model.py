@@ -29,6 +29,7 @@ from .optim import xavier_init
 from .tensor import (
     Parameter,
     Tensor,
+    _require_finite,
     as_tensor,
     cast,
     clip,
@@ -374,11 +375,13 @@ class Network:
         pass runs over ``params`` as in ``forward``, in their dtype; the
         decoded fields are float64 either way. Centers and widths stay in
         window-normalized coordinates and are not clipped here; clipping
-        happens only on final video-level output.
+        happens only on final video-level output. A head output that is not
+        finite raises NumericError, in any column.
         """
         cfg = self.config
         outputs = self.forward(features, params)
         raw = cast(concat(outputs, axis=outputs[0].data.ndim - 2), np.float64)
+        _require_finite("anchor decoding", raw.data)  # every column, offsets too
         kp = cfg.head_width
         logits = raw[..., :kp]
         overlap = sigmoid(raw[..., kp])

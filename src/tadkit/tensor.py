@@ -4,7 +4,11 @@ Covers exactly the operations the detection network needs: 1D convolution
 and max pooling over (time, channels) arrays, the usual activations, and
 the handful of elementwise/reduction ops that the losses are built from.
 Convolution and pooling also take a leading batch axis, (batch, time,
-channels), so a stack of windows runs as one graph; convolution GEMMs its
+channels), so a stack of windows runs as one graph. Convolution has two
+paths (see ``conv1d``): wide float32 stride-1 convs over many rows, in the
+default network the 256-filter base convs of a training minibatch, run as
+overlap-save tiles through real DFT bases, all GEMMs; every other call
+(float64, strided, narrow, and prediction's stacks of 4 windows) GEMMs its
 im2col matrix in row blocks forward and tap blocks backward, never whole.
 Leaves (``Tensor(...)``, ``as_tensor``, parameters) are float64; every op
 keeps its inputs' dtype, and ``cast`` moves a value to float32 and back, its
@@ -144,11 +148,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, (Tensor, np.ndarray, list)):
-            return mul(self, reciprocal(as_tensor(other)))
-        return mul(self, 1.0 / float(other))
-
     def __getitem__(self, index):
         return take(self, index)
 
@@ -280,16 +279,6 @@ def square(a) -> Tensor:
     return Tensor(a.data * a.data, parents=(a,), backward_fn=backward_fn)
 
 
-def reciprocal(a) -> Tensor:
-    a = as_tensor(a)
-
-    def backward_fn(g):
-        if a.requires_grad:
-            a._accumulate(-g / (a.data * a.data))
-
-    return Tensor(1.0 / a.data, parents=(a,), backward_fn=backward_fn)
-
-
 def exp(a) -> Tensor:
     a = as_tensor(a)
     e = np.exp(a.data)
@@ -301,16 +290,6 @@ def exp(a) -> Tensor:
             a._accumulate(e * g)
 
     return Tensor(e, parents=(a,), backward_fn=backward_fn)
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-
-    def backward_fn(g):
-        if a.requires_grad:
-            a._accumulate(g / a.data)
-
-    return Tensor(np.log(a.data), parents=(a,), backward_fn=backward_fn)
 
 
 def clip(a, lo, hi) -> Tensor:
@@ -520,6 +499,46 @@ def _pad_time(data, left, right, fill):
 #: blocks of at most as many elements (ROW_BLOCK * K * C_in) backward
 ROW_BLOCK = 1024
 
+#: The tiled path's tile and gate. A tile is TILE padded input rows and
+#: yields TILE - K + 1 outputs (24 at K = 9). The gate was set by timing both
+#: paths, forward plus backward in float32 on 1 BLAS thread, at K = 3, 5, 7
+#: and 9, C = 64 and 256, B = 4, 8 and 16 and T = 64, 128 and 256. With
+#: K >= 7 and B * T_out >= 2048 the tiled path took 0.54-0.69 of im2col's
+#: time; at K = 5 it took 0.84-1.21 and at K = 3 0.77-1.34. With fewer rows
+#: the saving shrinks, and below 1,024 rows the kernel transform, paid per
+#: call, often makes the tiled path the slower one.
+TILE = 32
+TILED_MIN_KERNEL = 7
+TILED_MIN_CHANNELS = 64
+TILED_MIN_ROWS = 2048
+
+
+def _tile_bases(n):
+    """``(P, R, Q)`` for tiles of ``n`` inputs, float32. Per DFT bin f the
+    product X_f * conj(W_f) is taken in Gauss's three-product form, as three
+    real slices: (a + b) c, a (d - c) and b (c + d), for X = a + ib and
+    conj(W) = c + id. The two real bins (f = 0 and n / 2) need one slice.
+    P (S, n) maps a tile to its slices a + b, a and b; R (S, n), cut to its
+    first K columns, maps a kernel to its slices c, d - c and c + d; Q (n, S)
+    maps the slice products to the tile's circular cross-correlation, whose
+    first n - K + 1 rows are the valid outputs (overlap-save)."""
+    P, R, Q = [], [], []
+    for f in range(n // 2 + 1):
+        theta = 2 * np.pi * f / n * np.arange(n)
+        cos, sin = np.cos(theta), np.sin(theta)
+        if f in (0, n / 2):  # X_f and W_f are real here
+            P += [cos]
+            R += [cos]
+            Q += [cos / n]
+        else:  # X_f = sum x (cos - i sin), and the inverse counts bin f twice
+            P += [cos - sin, cos, -sin]
+            R += [cos, sin - cos, cos + sin]
+            Q += [2 / n * (cos - sin), -2 / n * sin, -2 / n * cos]
+    return tuple(np.array(b, dtype=np.float32) for b in (P, R, np.transpose(Q)))
+
+
+_TILE_P, _TILE_R, _TILE_Q = _tile_bases(TILE)
+
 
 def _blocks(n, size):
     """The fewest runs ``(lo, hi)`` tiling ``range(n)`` with at most ``size``
@@ -539,17 +558,48 @@ def _im2col(padded, kernel_size, stride, out_len, taps=None):
     return view.transpose(0, 1, 3, 2).reshape(b * out_len, (hi - lo) * c)
 
 
+def _tile_spectra(padded, m, tiles):
+    """(S, B * tiles, C) input slices of every tile: tile j of window b is
+    padded rows j * m to j * m + TILE - 1."""
+    b, _, c = padded.shape
+    view = sliding_window_view(padded, TILE, axis=1)[:, : m * (tiles - 1) + 1 : m]
+    rows = np.ascontiguousarray(view.transpose(3, 0, 1, 2)).reshape(TILE, -1)
+    return (_TILE_P @ rows).reshape(-1, b * tiles, c)
+
+
+def _kernel_spectra(weights):
+    """(S, C_in, C_out) slices of a (K, C_in, C_out) kernel."""
+    k, c_in, c_out = weights.shape
+    return (_TILE_R[:, :k] @ weights.reshape(k, -1)).reshape(-1, c_in, c_out)
+
+
 def conv1d(x, kernel, bias, stride=1, padding="same") -> Tensor:
     """Temporal cross-correlation of a (T, C_in) or (B, T, C_in) input with
     a (K, C_in, C_out) kernel; the output keeps the input's batch axis.
 
     Same padding is symmetric zeros with the extra zero on the right;
-    output length is ceil(T / stride). The forward pass GEMMs the im2col
-    matrix in row blocks of whole windows, the backward pass in column
-    blocks of whole taps, adding the input gradient tap by tap; no pass
-    holds the whole matrix, and the graph keeps only the input. Blocks are
-    as wide as ``ROW_BLOCK`` allows, not one tap: a GEMM over one narrow
-    tap can take another BLAS kernel, which rounds differently.
+    output length is ceil(T / stride). Two paths compute it, and the graph
+    keeps only the input either way:
+
+    - im2col, for every float64 call, every strided call and every narrow
+      or short one. The forward pass GEMMs the im2col matrix in row blocks
+      of whole windows, the backward pass in column blocks of whole taps,
+      adding the input gradient tap by tap; no pass holds the whole matrix.
+      Blocks are as wide as ``ROW_BLOCK`` allows, not one tap: a GEMM over
+      one narrow tap can take another BLAS kernel, which rounds differently.
+    - Tiled, for float32 stride-1 calls with ``TILED_MIN_KERNEL <= K <=
+      TILE / 2``, at least ``TILED_MIN_CHANNELS`` channels in and out, a
+      whole tile of outputs and ``B * T_out >= TILED_MIN_ROWS``: in the
+      default network, the 256-filter base convs at T = 256 and 128 of a
+      16-window training minibatch. Overlap-save tiles of ``TILE`` inputs
+      go through real DFT bases as GEMMs (``_tile_bases``): 47 slice
+      products per 24 outputs in place of 9 taps each at K = 9. The
+      backward pass is each GEMM transposed plus an overlap-add, and it
+      recomputes both transforms. Its float32 error against the direct sum
+      is ~1e-7 of the output's scale, like im2col's. Prediction decodes
+      stacks of 4 windows (1,024 rows at T = 256), so it stays on im2col:
+      its kernel transforms would be paid per stack, or cached per video at
+      a higher memory peak.
     """
     x, kernel, bias = as_tensor(x), as_tensor(kernel), as_tensor(bias)
     what = "(T, C_in) or (B, T, C_in) input"
@@ -582,17 +632,56 @@ def conv1d(x, kernel, bias, stride=1, padding="same") -> Tensor:
     rows = B * out_len
     weights = kernel.data.reshape(K * c_in, c_out)
     dtype = np.result_type(xb, weights)  # float32 when input and kernel are
-    out_data = np.empty((B, out_len, c_out), dtype=dtype)
-    for lo, hi in _blocks(B, ROW_BLOCK // out_len):  # whole windows
-        np.matmul(_im2col(_pad_time(xb[lo:hi], left, right, 0.0), K, stride, out_len),
-                  weights, out=out_data[lo:hi].reshape(-1, c_out))
+    m = TILE - K + 1  # outputs per tile
+    tiles = -(-out_len // m)
+    tiled = (dtype == np.float32 and stride == 1 and TILED_MIN_KERNEL <= K <= TILE // 2
+             and out_len >= m and min(c_in, c_out) >= TILED_MIN_CHANNELS
+             and rows >= TILED_MIN_ROWS)
+    if tiled:  # pad to whole tiles; outputs past out_len are cut off
+        right = m * (tiles - 1) + TILE - left - T
+        products = np.matmul(_tile_spectra(_pad_time(xb, left, right, 0.0), m, tiles),
+                             _kernel_spectra(kernel.data))
+        y = (_TILE_Q[:m] @ products.reshape(len(products), -1)).reshape(m, B, tiles, c_out)
+        out_data = y.transpose(1, 2, 0, 3).reshape(B, tiles * m, c_out)[:, :out_len]
+        del products, y
+    else:
+        out_data = np.empty((B, out_len, c_out), dtype=dtype)
+        for lo, hi in _blocks(B, ROW_BLOCK // out_len):  # whole windows
+            np.matmul(_im2col(_pad_time(xb[lo:hi], left, right, 0.0), K, stride, out_len),
+                      weights, out=out_data[lo:hi].reshape(-1, c_out))
     out_data += bias.data
     out_shape = (B, out_len, c_out) if batched else (out_len, c_out)
 
+    def tiled_backward(g):
+        gt = np.zeros((B, tiles * m, c_out), dtype=dtype)
+        gt[:, :out_len] = g.reshape(B, out_len, c_out)
+        gt = np.ascontiguousarray(gt.reshape(B, tiles, m, c_out).transpose(2, 0, 1, 3))
+        dproducts = (_TILE_Q[:m].T @ gt.reshape(m, -1)).reshape(-1, B * tiles, c_out)
+        del gt
+        if kernel.requires_grad:
+            spectra = _tile_spectra(_pad_time(xb, left, right, 0.0), m, tiles)
+            dspectra = np.matmul(spectra.transpose(0, 2, 1), dproducts)
+            del spectra
+            kernel._accumulate((_TILE_R[:, :K].T @ dspectra.reshape(len(dspectra), -1))
+                               .reshape(K, c_in, c_out))
+            del dspectra
+        if x.requires_grad:
+            dspectra = np.matmul(dproducts, _kernel_spectra(kernel.data).transpose(0, 2, 1))
+            del dproducts
+            drows = (_TILE_P.T @ dspectra.reshape(len(dspectra), -1)).reshape(TILE, B, tiles, c_in)
+            del dspectra
+            pg = np.zeros((B, left + T + right, c_in), dtype=dtype)
+            for i in range(TILE):  # row i of tile j is padded row j * m + i
+                pg[:, i:i + m * tiles:m] += drows[i]
+            x._accumulate(pg[:, left:left + T].reshape(x.data.shape))
+
     def backward_fn(g):
-        g = g.reshape(rows, c_out)
         if bias.requires_grad:
-            bias._accumulate(g.sum(axis=0))
+            bias._accumulate(g.reshape(rows, c_out).sum(axis=0))
+        if tiled:
+            tiled_backward(g)
+            return
+        g = g.reshape(rows, c_out)
         taps = _blocks(K, ROW_BLOCK * K // max(rows, 1))  # <= ROW_BLOCK * K * c_in elements
         if kernel.requires_grad:
             padded = _pad_time(xb, left, right, 0.0)
@@ -620,7 +709,7 @@ def maxpool1d(x, window, stride) -> Tensor:
     padding (-inf fill); the output keeps the input's batch axis.
 
     Output length is ceil(T / stride); the gradient routes to the first
-    maximum inside each window.
+    maximum inside each window, whose tap the forward pass keeps.
     """
     x = as_tensor(x)
     what = "a nonempty (T, C) or (B, T, C) input"
@@ -635,22 +724,24 @@ def maxpool1d(x, window, stride) -> Tensor:
     out_len, left, right = _same_padding(T, window, stride)
     padded = _pad_time(xb, left, right, -np.inf)
     taps = [padded[:, j:j + stride * out_len:stride] for j in range(window)]
-    # running max over the taps; the backward masks each tap against it
+    # running max over the taps. When a graph is built, ``arg`` keeps the
+    # winning tap for the backward pass; a tap wins only where it is strictly
+    # larger, so ``arg`` is the first tap equal to the max: the first max wins ties
     best = taps[0].copy()
-    for tap in taps[1:]:
+    recording = x.requires_grad and getattr(_mode, "grad", True)
+    arg = np.zeros(best.shape, np.min_scalar_type(window - 1)) if recording else None
+    for j, tap in enumerate(taps[1:], 1):
+        if recording:
+            np.maximum(arg, np.multiply(tap > best, j, dtype=arg.dtype), out=arg)
         np.maximum(best, tap, out=best)
+    del padded, taps
 
     def backward_fn(g):
         if x.requires_grad:
             g = g.reshape(best.shape)
-            pg = np.zeros_like(padded)
-            # a window routes to its first tap equal to the max, so the
-            # first max wins ties
-            open_ = np.ones(best.shape, dtype=bool)
-            for j, tap in enumerate(taps):
-                hit = open_ & (tap == best)
-                pg[:, j:j + stride * out_len:stride] += g * hit
-                open_ &= ~hit
+            pg = np.zeros((B, left + T + right, C), dtype=best.dtype)
+            for j in range(window):  # tap j of output i is padded row j + stride * i
+                pg[:, j:j + stride * out_len:stride] += g * (arg == j)
             x._accumulate(pg[:, left:left + T].reshape(x.data.shape))
 
     return Tensor(best if batched else best[0], parents=(x,), backward_fn=backward_fn)

@@ -31,6 +31,32 @@ def direct_conv1d(x, kernel, bias, stride=1, padding="same"):
     return out
 
 
+def direct_conv1d_grads(x, kernel, g, stride=1, padding="same"):
+    """Input and kernel gradients of sum(direct_conv1d(x, kernel, b) * g),
+    by explicit summation over every (output, tap) pair."""
+    x = np.asarray(x, dtype=float)
+    kernel = np.asarray(kernel, dtype=float)
+    t, c_in = x.shape
+    k, _, c_out = kernel.shape
+    if padding == "same":
+        out_len = -(-t // stride)
+        left = max((out_len - 1) * stride + k - t, 0) // 2
+    else:
+        out_len = (t - k) // stride + 1
+        left = 0
+    dx = np.zeros_like(x)
+    dk = np.zeros_like(kernel)
+    for i in range(out_len):
+        for j in range(k):
+            src = i * stride - left + j
+            if 0 <= src < t:
+                for c in range(c_in):
+                    for o in range(c_out):
+                        dx[src, c] += kernel[j, c, o] * g[i, o]
+                        dk[j, c, o] += x[src, c] * g[i, o]
+    return dx, dk
+
+
 def direct_maxpool1d(x, window, stride):
     """Windowed max by explicit scanning; first index wins ties."""
     x = np.asarray(x, dtype=float)

@@ -569,3 +569,25 @@ class TestFloat32Overflow:
         assert err.startswith("error:") and "Warning" not in err and "Traceback" not in err
         assert f"video {manifest['splits']['test'][0]!r}" in err.splitlines()[0]
         assert not out.exists()
+
+    def test_predict_names_the_video_of_an_overflowing_center_offset(self, tiny_inputs,
+                                                                    tmp_path, capsys):
+        # no activation or sigmoid sees the offset columns, so only decode's own
+        # check stops an inf center from silently dropping its candidates
+        network = load_checkpoint(tiny_inputs / "model.ckpt")
+        bias = next(p for p in network.parameters if p.name == "pred.0.bias")
+        bias.data.reshape(-1, network.config.head_width + 3)[:, -2] = 1e300
+        checkpoint = tmp_path / "offset.ckpt"
+        save_checkpoint(network, checkpoint)
+        manifest = json.loads((tiny_inputs / "data" / "manifest.json").read_text())
+        out = tmp_path / "predictions.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run("predict", "--data", str(tiny_inputs / "data"), "--checkpoint",
+                       str(checkpoint), "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error:") and "Warning" not in err and "Traceback" not in err
+        assert f"video {manifest['splits']['test'][0]!r}" in err.splitlines()[0]
+        assert "anchor decoding requires finite inputs" in err
+        assert not out.exists()
