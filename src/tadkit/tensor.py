@@ -506,7 +506,10 @@ ROW_BLOCK = 1024
 #: K >= 7 and B * T_out >= 2048 the tiled path took 0.54-0.69 of im2col's
 #: time; at K = 5 it took 0.84-1.21 and at K = 3 0.77-1.34. With fewer rows
 #: the saving shrinks, and below 1,024 rows the kernel transform, paid per
-#: call, often makes the tiled path the slower one.
+#: call, often makes the tiled path the slower one. Above K = 9 the upper
+#: bound TILE / 2 keeps at least 17 outputs a tile; timed the same way at
+#: K = 10 to 16 (C = 64 and 256; B, T = 8, 256 / 16, 128 / 16, 256), the
+#: tiled path took 0.37-0.73 of im2col's time.
 TILE = 32
 TILED_MIN_KERNEL = 7
 TILED_MIN_CHANNELS = 64
@@ -632,12 +635,12 @@ def conv1d(x, kernel, bias, stride=1, padding="same") -> Tensor:
     rows = B * out_len
     weights = kernel.data.reshape(K * c_in, c_out)
     dtype = np.result_type(xb, weights)  # float32 when input and kernel are
-    m = TILE - K + 1  # outputs per tile
-    tiles = -(-out_len // m)
+    m = TILE - K + 1  # outputs per tile, >= TILE / 2 wherever tiled holds
     tiled = (dtype == np.float32 and stride == 1 and TILED_MIN_KERNEL <= K <= TILE // 2
              and out_len >= m and min(c_in, c_out) >= TILED_MIN_CHANNELS
              and rows >= TILED_MIN_ROWS)
     if tiled:  # pad to whole tiles; outputs past out_len are cut off
+        tiles = -(-out_len // m)
         right = m * (tiles - 1) + TILE - left - T
         products = np.matmul(_tile_spectra(_pad_time(xb, left, right, 0.0), m, tiles),
                              _kernel_spectra(kernel.data))
@@ -709,7 +712,7 @@ def maxpool1d(x, window, stride) -> Tensor:
     padding (-inf fill); the output keeps the input's batch axis.
 
     Output length is ceil(T / stride); the gradient routes to the first
-    maximum inside each window, whose tap the forward pass keeps.
+    maximum inside each window.
     """
     x = as_tensor(x)
     what = "a nonempty (T, C) or (B, T, C) input"
@@ -724,24 +727,22 @@ def maxpool1d(x, window, stride) -> Tensor:
     out_len, left, right = _same_padding(T, window, stride)
     padded = _pad_time(xb, left, right, -np.inf)
     taps = [padded[:, j:j + stride * out_len:stride] for j in range(window)]
-    # running max over the taps. When a graph is built, ``arg`` keeps the
-    # winning tap for the backward pass; a tap wins only where it is strictly
-    # larger, so ``arg`` is the first tap equal to the max: the first max wins ties
+    # running max over the taps; the backward masks each tap against it
     best = taps[0].copy()
-    recording = x.requires_grad and getattr(_mode, "grad", True)
-    arg = np.zeros(best.shape, np.min_scalar_type(window - 1)) if recording else None
-    for j, tap in enumerate(taps[1:], 1):
-        if recording:
-            np.maximum(arg, np.multiply(tap > best, j, dtype=arg.dtype), out=arg)
+    for tap in taps[1:]:
         np.maximum(best, tap, out=best)
-    del padded, taps
 
     def backward_fn(g):
         if x.requires_grad:
             g = g.reshape(best.shape)
-            pg = np.zeros((B, left + T + right, C), dtype=best.dtype)
-            for j in range(window):  # tap j of output i is padded row j + stride * i
-                pg[:, j:j + stride * out_len:stride] += g * (arg == j)
+            pg = np.zeros_like(padded)
+            # a window routes to its first tap equal to the max, so the
+            # first max wins ties
+            open_ = np.ones(best.shape, dtype=bool)
+            for j, tap in enumerate(taps):
+                hit = open_ & (tap == best)
+                pg[:, j:j + stride * out_len:stride] += g * hit
+                open_ &= ~hit
             x._accumulate(pg[:, left:left + T].reshape(x.data.shape))
 
     return Tensor(best if batched else best[0], parents=(x,), backward_fn=backward_fn)
