@@ -60,7 +60,7 @@ from .model import (
     save_checkpoint,
 )
 from .optim import Adam, xavier_init
-from .tensor import Parameter, Tensor, conv1d, maxpool1d, relu, sigmoid, softmax
+from .tensor import Parameter, Tensor, conv1d, maxpool1d, relu, sigmoid
 from .training import TrainConfig, TrainResult, build_training_batch, train
 
 __version__ = "0.1.0"

@@ -21,6 +21,7 @@ from .evaluation import evaluate
 from .gradcheck import check_gradients
 from .inference import FusionConfig, predict_video
 from .io import (
+    _load_json,
     atomic_write_text,
     load_annotations,
     load_predictions,
@@ -84,12 +85,9 @@ def load_settings(config_path, overrides):
     values = dict(DEFAULTS)
     if config_path:
         try:
-            with open(config_path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except FileNotFoundError:
-            raise ConfigError(f"config file {config_path!r} does not exist") from None
-        except ValueError as exc:  # invalid JSON, or bytes that are not UTF-8
-            raise ConfigError(f"{config_path}: invalid JSON ({exc})") from exc
+            doc = _load_json(config_path)
+        except DataError as exc:  # cannot be opened, or is not JSON
+            raise ConfigError(str(exc)) from None
         if not isinstance(doc, dict):
             raise ConfigError(f"{config_path}: expected an object of dotted keys")
         unknown = sorted(set(doc) - set(DEFAULTS))
@@ -153,17 +151,18 @@ def _network_config(settings, feature_dim, num_classes) -> NetworkConfig:
     )
 
 
+def _strings(value):
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 def _load_manifest(data_dir):
     path = os.path.join(data_dir, "manifest.json")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise DataError(f"{path}: no dataset manifest") from None
-    except ValueError as exc:  # invalid JSON, or bytes that are not UTF-8
-        raise DataError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(doc.get("categories"), list) or not isinstance(doc.get("splits"), dict):
-        raise DataError(f"{path}: manifest needs 'categories' and 'splits'")
+    doc = _load_json(path)
+    if not (isinstance(doc, dict) and _strings(doc.get("categories")) and doc["categories"]
+            and isinstance(doc.get("splits"), dict)
+            and all(_strings(ids) for ids in doc["splits"].values())):
+        raise DataError(f"{path}: manifest needs a non-empty 'categories' list of strings "
+                        f"and 'splits' mapping each split to a list of video ids")
     return doc
 
 

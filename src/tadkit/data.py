@@ -60,11 +60,11 @@ class VideoAnnotation:
 
 @dataclass(frozen=True)
 class ScoreBlock:
-    """One upstream classifier's slice of the score matrix."""
+    """One upstream classifier's slice of the score matrix: ``width``
+    columns, background first, then the detection categories in order."""
 
     name: str
     width: int
-    class_names: tuple = None  # optional, aligns columns onto detection categories
 
 
 @dataclass
@@ -299,7 +299,6 @@ def synth_generate(config: SynthConfig, seed):
     """
     rng = np.random.default_rng(seed)
     width = config.head_width
-    class_names = tuple(["background"] + config.category_names)
     sequences, annotations = [], []
     for v in range(config.num_videos):
         t_v = int(rng.integers(config.min_video_length, config.max_video_length + 1))
@@ -320,9 +319,7 @@ def synth_generate(config: SynthConfig, seed):
             instances.append(ActionInstance(float(pos), float(pos + length), int(cat)))
             pos += int(length) + int(gap)
 
-        blocks = [
-            ScoreBlock(name, width, class_names) for name in config.block_names
-        ]
+        blocks = [ScoreBlock(name, width) for name in config.block_names]
         matrix = np.empty((t_v, config.feature_dim), dtype=DTYPE)
         for b in range(len(config.block_names)):
             cols = slice(b * width, (b + 1) * width)

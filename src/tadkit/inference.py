@@ -4,18 +4,20 @@ Prediction runs as one array pipeline per video. The parameters are cast
 to float32 once per video; windows are decoded over that copy in stacks of
 DECODE_STACK, one batched float32 pass per stack (one cast of its input)
 under ``no_grad()``, and the anchors of all windows become one row each of
-per-video arrays: softmax class probabilities (N, K+1), overlap (N,), and
-start/end in video snippets. Each row's class probabilities are combined
-with the mean snippet scores over its span (summed over blocks, averaged
-over rows and blocks, read from one prefix-sum table) and gated by the
-predicted overlap:
+per-video arrays: class probabilities (N, K+1), a NumPy softmax of the
+decoded logits, overlap (N,), and start/end in video snippets. Each row's
+class probabilities are combined with the mean snippet scores over its
+span (summed over blocks, averaged over rows and blocks, read from one
+prefix-sum table) and gated by the predicted overlap:
 
     base = [class probabilities if enabled] + [mean snippet scores if enabled]
     fused = overlap * base            (when overlap gating is enabled)
 
-The winning category is the argmax over action columns (background is
-excluded); its fused score is the confidence. Per-category greedy NMS
-with threshold 0.1 removes overlapping duplicates.
+Every score block holds K+1 columns in category order, background first,
+so its columns align with the categories by position. The winning category
+is the argmax over action columns (background is excluded); its fused
+score is the confidence. Per-category greedy NMS with threshold 0.1
+removes overlapping duplicates.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .data import Detection, ScoreSequence, slide_windows
 from .errors import ConfigError, DataError, NumericError, UsageError
 from .matching import segment_iou_matrix
 from .model import Network
-from .tensor import no_grad, softmax
+from .tensor import no_grad
 
 PREDICTION_OVERLAP = 0.25  # window overlap fraction at inference time
 DECODE_STACK = 4  # windows decoded together as one batch at inference time
@@ -54,28 +56,15 @@ def block_alignment(seq: ScoreSequence, categories):
     """Map each block's columns onto the detection category space.
 
     Returns one integer array per block: entry j is the detection column
-    (0 = background) fed by the block's column j. Blocks must either name
-    their columns or already be ordered background-first over the same
-    categories.
+    (0 = background) fed by the block's column j. Every block holds its
+    columns in category order, background first, so it must be K+1 wide.
     """
-    wanted = ["background"] + list(categories)
-    out = []
+    k1 = len(categories) + 1
     for block in seq.blocks:
-        if block.class_names is not None:
-            if sorted(block.class_names) != sorted(wanted):
-                raise DataError(
-                    f"block {block.name!r} classes {list(block.class_names)} do not "
-                    f"cover categories {wanted}"
-                )
-            out.append(np.array([wanted.index(n) for n in block.class_names]))
-        elif block.width == len(wanted):
-            out.append(np.arange(len(wanted)))
-        else:
-            raise DataError(
-                f"block {block.name!r} has width {block.width}, cannot align to "
-                f"{len(wanted)} categories without class names"
-            )
-    return out
+        if block.width != k1:
+            raise DataError(f"block {block.name!r} has width {block.width}, cannot align "
+                            f"to background plus {k1 - 1} categories")
+    return [np.arange(k1) for _ in seq.blocks]
 
 
 def mean_snippet_scores(seq: ScoreSequence, starts, ends, categories, alignment=None):
@@ -111,6 +100,13 @@ def mean_snippet_scores(seq: ScoreSequence, starts, ends, categories, alignment=
     hi = np.where(empty, 0, hi)
     rows = np.maximum(hi - lo, 1)[:, None]
     return (table[hi] - table[lo]) / rows / len(seq.blocks)
+
+
+def softmax(logits):
+    """Row-wise softmax of an (..., K+1) array: subtract the row maximum,
+    exponentiate, divide by the row sum."""
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def fuse_scores(class_scores, overlap, mean_scores, config: FusionConfig):
@@ -206,7 +202,7 @@ def predict_video(seq: ScoreSequence, network: Network, categories, config: Fusi
         with no_grad(), np.errstate(over="ignore", invalid="ignore"):
             try:
                 decoded = network.decode(np.stack([w.features for w in stack]), params)
-                probs.append(softmax(decoded.class_logits).data)
+                probs.append(softmax(decoded.class_logits.data))
             except NumericError as exc:
                 raise NumericError(f"video {seq.video_id!r}, windows from snippet "
                                    f"{stack[0].start}: {exc}") from exc

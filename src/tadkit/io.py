@@ -130,9 +130,8 @@ def save_sas_features(seq: ScoreSequence, path):
     atomic_write(path, parts)
 
 
-def load_sas_features(path, class_names=None) -> ScoreSequence:
-    """Parse an SASF file. ``class_names`` optionally maps each block name to
-    a column-name tuple (the binary format does not carry column names)."""
+def load_sas_features(path) -> ScoreSequence:
+    """Parse an SASF file."""
     with _Reader(path) as r:
         magic = r.take(4, "magic")
         if magic != SASF_MAGIC:
@@ -150,8 +149,7 @@ def load_sas_features(path, class_names=None) -> ScoreSequence:
             name_len = r.u16(f"block {i} name length")
             name = r.text(name_len, f"block {i} name")
             width = r.u32(f"block {i} width")
-            names = class_names.get(name) if class_names else None
-            blocks.append(ScoreBlock(name, width, tuple(names) if names else None))
+            blocks.append(ScoreBlock(name, width))
         widths = sum(b.width for b in blocks)
         if widths != d:
             r.fail(f"block widths sum to {widths}, header says D={d}")

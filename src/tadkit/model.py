@@ -353,16 +353,15 @@ class Network:
         weights = iter(params)
         for layer in self.config.base_layers():
             if layer.kind == "conv":
-                x = relu(conv1d(x, next(weights), next(weights), stride=layer.stride,
-                                padding="same"))
+                x = relu(conv1d(x, next(weights), next(weights), stride=layer.stride))
             else:
                 x = maxpool1d(x, layer.kernel, layer.stride)
         cols = self.config.head_width + 3
         outputs = []
         for _ in self.config.ratios:  # one head per anchor map
             ak, ab, pk, pb = islice(weights, 4)
-            x = relu(conv1d(x, ak, ab, stride=2, padding="same"))
-            raw = conv1d(x, pk, pb, stride=1, padding="same")
+            x = relu(conv1d(x, ak, ab, stride=2))
+            raw = conv1d(x, pk, pb, stride=1)
             *lead, m, width = raw.data.shape
             outputs.append(reshape(raw, (*lead, m * (width // cols), cols)))
         return outputs

@@ -44,8 +44,10 @@ BLOCK = 32768
 class Adam:
     """Adam with bias correction (Kingma & Ba); deterministic given identical
     inputs. ``step`` is one in-place pass, in blocks of ``BLOCK``, over flat
-    parameter, gradient and moment vectors (``tensor.flat_parameters``), in
-    the per-parameter textbook update's operation order and bit-identical to it."""
+    parameter, gradient and moment vectors, in the per-parameter textbook
+    update's operation order and bit-identical to it. ``params`` must be every
+    parameter of one flat layout, as a ``Network`` holds them
+    (``tensor.flat_parameters``); others raise UsageError."""
 
     def __init__(self, params, learning_rate, beta1=0.9, beta2=0.999, epsilon=1e-8):
         self.params = list(params)

@@ -1,8 +1,9 @@
 """Minimal dense-tensor engine with reverse-mode differentiation.
 
-Covers exactly the operations the detection network needs: 1D convolution
-and max pooling over (time, channels) arrays, the usual activations, and
-the handful of elementwise/reduction ops that the losses are built from.
+Covers exactly the operations the detection network needs: same-padded 1D
+convolution and max pooling over (time, channels) arrays, ReLU, sigmoid,
+logsumexp, and the elementwise/reduction ops the losses are built from (the
+class softmax is read only at prediction, in NumPy: ``inference.softmax``).
 Convolution and pooling also take a leading batch axis, (batch, time,
 channels), so a stack of windows runs as one graph. Convolution has two
 paths (see ``conv1d``): wide float32 stride-1 convs over many rows, in the
@@ -78,10 +79,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def size(self):
-        return self.data.size
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -137,12 +134,6 @@ class Tensor:
     def __sub__(self, other):
         return add(self, mul(other, -1.0))
 
-    def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
     def __mul__(self, other):
         return mul(self, other)
 
@@ -151,21 +142,13 @@ class Tensor:
     def __getitem__(self, index):
         return take(self, index)
 
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 else shape[0])
-
-    def sum(self):
-        return tsum(self)
-
-    def mean(self):
-        return tmean(self)
-
 
 class Parameter(Tensor):
     """A named leaf tensor updated by the optimizer. ``grad`` is None or its
     gradient view: backward copies the first gradient in and adds later ones
     in place (an array assigned to ``grad`` is copied in by ``Adam.step``).
-    The view is ``grad_view``, or a buffer of its own until laid out flat."""
+    The view is ``grad_view``, or a buffer of its own; ``Adam`` takes only
+    parameters laid out over one flat pair (``flat_views``)."""
 
     __slots__ = ("name", "_grad_view")
 
@@ -200,23 +183,17 @@ def flat_views(shapes):
 
 
 def flat_parameters(params):
-    """``(data, grad)``: flat vectors that the distinct ``params``' data and
-    gradients are views of. Parameters already laid out over one such pair
-    get it back; others are packed into new ones, values and gradients kept."""
+    """``(data, grad)``: the flat vectors that the distinct ``params``' data
+    and gradient views tile between them, as ``flat_views`` lays them out.
+    Parameters laid out any other way, bare or a subset of a layout, raise
+    UsageError."""
     params = list(params)
     sizes = [p.data.size for p in params]
     data, grad = (params[0].data.base, params[0]._grad_view.base) if params else (None, None)
     if all(isinstance(x, np.ndarray) and x.size == sum(sizes) for x in (data, grad)) and all(
             p.data.base is data and p._grad_view.base is grad for p in params):
         return data, grad
-    data, grad, views = flat_views([p.data.shape for p in params])
-    for p, (view, grad_view) in zip(params, views):
-        view[...] = p.data
-        if p.grad is p._grad_view:
-            grad_view[...] = p.grad
-            p.grad = grad_view
-        p.data, p._grad_view = view, grad_view
-    return data, grad
+    raise UsageError("expected every parameter of one flat layout (tensor.flat_views)")
 
 
 def as_tensor(x) -> Tensor:
@@ -437,22 +414,6 @@ def sigmoid(a) -> Tensor:
     return Tensor(s, parents=(a,), backward_fn=backward_fn)
 
 
-def softmax(a, axis=-1) -> Tensor:
-    """Rowwise softmax with max subtraction for stability."""
-    a = as_tensor(a)
-    _require_finite("softmax", a.data)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=axis, keepdims=True)
-
-    def backward_fn(g):
-        if a.requires_grad:
-            dot = (g * s).sum(axis=axis, keepdims=True)
-            a._accumulate(s * (g - dot))
-
-    return Tensor(s, parents=(a,), backward_fn=backward_fn)
-
-
 def logsumexp(a, axis=-1) -> Tensor:
     a = as_tensor(a)
     _require_finite("logsumexp", a.data)
@@ -576,11 +537,11 @@ def _kernel_spectra(weights):
     return (_TILE_R[:, :k] @ weights.reshape(k, -1)).reshape(-1, c_in, c_out)
 
 
-def conv1d(x, kernel, bias, stride=1, padding="same") -> Tensor:
+def conv1d(x, kernel, bias, stride=1) -> Tensor:
     """Temporal cross-correlation of a (T, C_in) or (B, T, C_in) input with
     a (K, C_in, C_out) kernel; the output keeps the input's batch axis.
 
-    Same padding is symmetric zeros with the extra zero on the right;
+    Always same-padded: symmetric zeros with the extra zero on the right;
     output length is ceil(T / stride). Two paths compute it, and the graph
     keeps only the input either way:
 
@@ -623,15 +584,7 @@ def conv1d(x, kernel, bias, stride=1, padding="same") -> Tensor:
     if bias.data.shape != (c_out,):
         raise ConfigError(f"bias shape {bias.data.shape} does not match {c_out} filters")
 
-    if padding == "same":
-        out_len, left, right = _same_padding(T, K, stride)
-    elif padding == "valid":
-        if T < K:
-            raise ConfigError(f"valid conv needs input length >= kernel ({T} < {K})")
-        out_len, left, right = (T - K) // stride + 1, 0, 0
-    else:
-        raise ConfigError(f"unknown padding mode {padding!r}")
-
+    out_len, left, right = _same_padding(T, K, stride)
     rows = B * out_len
     weights = kernel.data.reshape(K * c_in, c_out)
     dtype = np.result_type(xb, weights)  # float32 when input and kernel are

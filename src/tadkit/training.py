@@ -111,13 +111,11 @@ def _join(tensors):
     return tensors[0] if len(tensors) == 1 else concat(tensors, axis=0)
 
 
-def build_training_batch(decoded_list, matches_list, rng) -> TrainingBatch:
-    """Mine each decode against its current overlap predictions, then pool."""
-    selections = [
-        hard_negative_mine(matched, decoded.overlap.data, rng)
-        for decoded, matched in zip(decoded_list, matches_list)
-    ]
-    return batch_from_selection(decoded_list, matches_list, selections)
+def build_training_batch(decoded, matched, rng) -> TrainingBatch:
+    """Mine a stacked decode and its (B, N) match array against the decode's
+    current overlap predictions, then gather the selection."""
+    selection = hard_negative_mine(matched, decoded.overlap.data, rng)
+    return batch_from_selection([decoded], [matched], [selection])
 
 
 def fixed_selection_loss(network: Network, features, targets, rng):
@@ -199,7 +197,7 @@ def train(windows, network: Network, config: TrainConfig, out_dir=None, log_path
                     try:  # a non-finite activation or loss
                         stacked = network.decode(np.stack([windows[i].features for i in chunk]),
                                                  network.cast_parameters("float32"))
-                        batch = build_training_batch([stacked], [matches[chunk]], mine_rng)
+                        batch = build_training_batch(stacked, matches[chunk], mine_rng)
                         loss, parts = total_loss(batch, config.weights, network.parameters)
                     except NumericError as exc:
                         abort_with_last_good(exc)

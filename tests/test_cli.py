@@ -180,6 +180,27 @@ class TestMalformedJson:
         preds.write_text(json.dumps(valid_predictions()))
         assert run("eval", "--predictions", str(preds), "--annotations", str(ann)) == 0
 
+    @pytest.mark.parametrize("edit", [
+        lambda doc: [],
+        lambda doc: {**doc, "splits": {"test": 5}},
+        lambda doc: {**doc, "splits": {"test": [doc["splits"]["test"]]}},
+        lambda doc: {**doc, "categories": []},
+        lambda doc: {**doc, "categories": [1, 2]},
+    ], ids=["list", "split-int", "split-of-lists", "categories-empty", "categories-int"])
+    def test_malformed_manifest_exits_2(self, tiny_inputs, tmp_path, capsys, edit):
+        data = tmp_path / "data"
+        shutil.copytree(tiny_inputs / "data", data)
+        manifest = data / "manifest.json"
+        manifest.write_text(json.dumps(edit(json.loads(manifest.read_text()))))
+        out = tmp_path / "predictions.json"
+        code = run("predict", "--data", str(data), "--checkpoint",
+                   str(tiny_inputs / "model.ckpt"), "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "manifest" in err.splitlines()[0]
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 def _json_type(value):
     """The JSON type of a parsed value (integers and floats are numbers)."""
@@ -480,6 +501,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "nope.json" in err and "Traceback" not in err
         assert not out.exists()
+
+    def test_manifest_that_is_a_directory_is_data_error(self, tmp_path, capsys):
+        (tmp_path / "data" / "manifest.json").mkdir(parents=True)
+        assert run("train", "--data", str(tmp_path / "data"), "--out", str(tmp_path / "runs")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "manifest.json" in err and "Traceback" not in err
+
+    def test_config_that_is_a_directory_is_config_error(self, tmp_path, capsys):
+        (tmp_path / "settings").mkdir()
+        assert run("synth", "--out", str(tmp_path / "data"), "--config",
+                   str(tmp_path / "settings")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "settings" in err and "Traceback" not in err
+        assert not (tmp_path / "data").exists()
 
     @pytest.mark.slow
     def test_gradcheck_failure_is_numeric_error(self, capsys):

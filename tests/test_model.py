@@ -144,7 +144,7 @@ def per_conv_cast_forward(net, features):
 
     def conv(x, stride):
         return conv1d(x, cast(next(params), np.float32), cast(next(params), np.float32),
-                      stride=stride, padding="same")
+                      stride=stride)
 
     x = cast(as_tensor(features), np.float32)
     for layer in net.config.base_layers():

@@ -5,9 +5,23 @@ from numpy.testing import assert_allclose
 from tadkit.errors import ConfigError, NumericError, UsageError
 from tadkit.gradcheck import check_gradients
 from tadkit.optim import BLOCK, Adam, xavier_init
-from tadkit.tensor import Parameter, Tensor, add, conv1d, mul, relu, sigmoid, square, tmean, tsum
+from tadkit.tensor import (
+    Parameter, Tensor, add, conv1d, flat_views, mul, relu, sigmoid, square, tmean, tsum,
+)
 
 from oracles import scalar_adam_trace
+
+
+def flat_params(values, names):
+    """Parameters holding ``values``, laid out over one flat data/gradient
+    pair as a ``Network`` lays out its own."""
+    values = [np.asarray(v, dtype=float) for v in values]
+    _, _, views = flat_views([v.shape for v in values])
+    params = []
+    for value, name, (data, grad) in zip(values, names, views):
+        data[...] = value
+        params.append(Parameter(data, name, grad))
+    return params
 
 
 class TestXavier:
@@ -43,7 +57,7 @@ class TestXavier:
 
 class TestAdam:
     def make_param(self, value=1.0):
-        return Parameter(np.array(value), name="w")
+        return flat_params([value], ["w"])[0]
 
     def test_zero_gradient_is_noop(self):
         p = self.make_param(2.5)
@@ -90,8 +104,7 @@ class TestAdam:
             opt.step()
 
     def test_duplicate_names_rejected(self):
-        a = Parameter(np.zeros(2), name="w")
-        b = Parameter(np.zeros(3), name="w")
+        a, b = flat_params([np.zeros(2), np.zeros(3)], ["w", "w"])
         with pytest.raises(ConfigError):
             Adam([a, b], learning_rate=0.1)
 
@@ -133,23 +146,22 @@ class TestFlatAdam:
 
     def make_params(self, seed=0):
         rng = np.random.default_rng(seed)
-        return [Parameter(rng.normal(size=s), name=f"p{i}") for i, s in enumerate(self.SHAPES)]
+        return flat_params([rng.normal(size=s) for s in self.SHAPES],
+                           [f"p{i}" for i in range(len(self.SHAPES))])
 
     def test_sizes_cross_a_block_boundary(self):
         total = sum(p.data.size for p in self.make_params())
         assert total > BLOCK and total % BLOCK != 0
 
-    def test_bare_parameters_are_packed_with_their_values(self):
+    def test_bare_and_subset_parameters_are_rejected(self):
         params = self.make_params()
-        before = [p.data.copy() for p in params]
-        opt = Adam(params, learning_rate=0.01)
-        offset = 0
-        for p, b in zip(params, before):
-            assert p.data.base is opt.data
-            assert p.data.ctypes.data == opt.data.ctypes.data + 8 * offset
-            assert np.array_equal(p.data, b)
-            offset += p.data.size
-        assert offset == opt.data.size
+        rng = np.random.default_rng(0)
+        bare = [Parameter(rng.normal(size=s), name=f"p{i}") for i, s in enumerate(self.SHAPES)]
+        for wrong in (bare, bare[1:], params[1:], params[:1], [bare[0], *params[1:]], []):
+            with pytest.raises(UsageError, match="flat layout"):
+                Adam(wrong, learning_rate=0.01)
+        opt = Adam(params, learning_rate=0.01)  # the whole layout is taken as it is
+        assert opt.data is params[0].data.base and opt.grad is params[0]._grad_view.base
 
     def test_assigned_gradients_match_reference(self):
         params = self.make_params(1)

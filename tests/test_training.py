@@ -43,12 +43,24 @@ def tiny_network(seed=0):
     )
 
 
+def stacked_decode(net, windows):
+    """One stacked decode of ``windows`` and their (B, N) match array, as
+    ``train`` builds a minibatch."""
+    matches = np.stack([match_anchors(net.anchors, w.targets) for w in windows])
+    return net.decode(np.stack([w.features for w in windows])), matches.view(np.recarray)
+
+
+def per_window_batch(decoded, matches, rng):
+    """The reference construction: each window's decode mined on its own, in
+    order from ``rng``, and the selections pooled by ``batch_from_selection``."""
+    selections = [hard_negative_mine(m, d.overlap.data, rng) for d, m in zip(decoded, matches)]
+    return batch_from_selection(decoded, matches, selections)
+
+
 class TestBatchAssembly:
     def test_pooled_batch_is_balanced_and_labeled(self):
-        windows = tiny_dataset()[:3]
         net = tiny_network()
-        decoded = [net.decode(w.features) for w in windows]
-        matches = [match_anchors(net.anchors, w.targets) for w in windows]
+        decoded, matches = stacked_decode(net, tiny_dataset()[:3])
         batch = build_training_batch(decoded, matches, np.random.default_rng(0))
         assert batch.num_anchors == len(batch.labels) == batch.overlap.data.shape[0]
         assert batch.num_positives == (batch.labels > 0).sum()
@@ -59,10 +71,8 @@ class TestBatchAssembly:
         assert batch.num_anchors - batch.num_positives >= min(1, batch.num_positives)
 
     def test_gradients_reach_every_parameter(self):
-        windows = tiny_dataset()[:2]
         net = tiny_network()
-        decoded = [net.decode(w.features) for w in windows]
-        matches = [match_anchors(net.anchors, w.targets) for w in windows]
+        decoded, matches = stacked_decode(net, tiny_dataset()[:2])
         batch = build_training_batch(decoded, matches, np.random.default_rng(1))
         loss, _ = total_loss(batch, LossWeights(), net.parameters)
         loss.backward()
@@ -82,7 +92,7 @@ class TestStackedMinibatch:
         order = shuffle_training_set(list(range(len(windows))), shuffle_seed)
         decoded = [net.decode(windows[i].features) for i in order]
         matches = [match_anchors(net.anchors, windows[i].targets) for i in order]
-        batch = build_training_batch(decoded, matches, np.random.default_rng(mine_seed))
+        batch = per_window_batch(decoded, matches, np.random.default_rng(mine_seed))
         _, parts = total_loss(batch, config.weights, net.parameters)
 
         # train's float32 minibatch, widened to float64: the oracle checks the
@@ -107,14 +117,12 @@ class TestStackedGather:
     def test_stacked_batch_equals_per_window_batch(self):
         windows = tiny_dataset()[:4]
         net = tiny_network(seed=5)
-        x = np.stack([w.features for w in windows])
-        matches = np.stack([match_anchors(net.anchors, w.targets) for w in windows]).view(
-            np.recarray)
-        stacked = build_training_batch([net.decode(x)], [matches], np.random.default_rng(8))
-        decoded = net.decode(x)
+        decoded, matches = stacked_decode(net, windows)
+        stacked = build_training_batch(decoded, matches, np.random.default_rng(8))
+        decoded, _ = stacked_decode(net, windows)
         views = [DecodedAnchors(*(take(getattr(decoded, f), b) for f in self.FIELDS))
                  for b in range(len(windows))]
-        per_window = build_training_batch(views, list(matches), np.random.default_rng(8))
+        per_window = per_window_batch(views, list(matches), np.random.default_rng(8))
         assert stacked.num_positives > 0
         for field in ("labels", "target_iou", "pos_target_centers", "pos_target_widths"):
             assert np.array_equal(getattr(stacked, field), getattr(per_window, field)), field

@@ -9,11 +9,16 @@ Usage, from anywhere:
 Each seed is one pair: the benchmark runs once in each checkout, unchanged
 and one run at a time, and which side goes first alternates from seed to
 seed. The output file holds every raw result line, per workload and
-end-to-end metric each side's median and quartiles and the change's wins,
-the ``map_50`` of every ``pipeline_small`` run, the traced per-layer figures
-of each side when ``--trace`` is given, each side's ``src/`` digest and
-line count, and the machine the runs were made on. All metrics compared
-here are lower-is-better.
+end-to-end metric each side's median and quartiles, the median and
+quartiles of the per-pair ratio change / parent and the change's wins, the
+``map_50`` of every ``pipeline_small`` run, the traced per-layer figures of
+each side when ``--trace`` is given, each side's ``src/`` digest and line
+count, and the machine the runs were made on. The per-pair ratio shows a
+steady gain or loss that a machine drifting within a set hides behind the
+sides' quartiles. Last, it flags every end-to-end metric whose change median
+is worse than the parent's by more than its ``bound`` in the change's
+``BENCHMARK.json``, and prints the flagged metrics after everything else.
+All metrics compared here are lower-is-better.
 """
 
 from __future__ import annotations
@@ -74,15 +79,29 @@ def summarise(runs):
         for name in metrics:
             values = {s: [p[s][name]["value"] for p in pairs] for s in SIDES}
             sides = {s: spread(values[s]) for s in SIDES}
+            ratios = [c / p for p, c in zip(values["parent"], values["change"]) if p]
             wins = sum(c < p for p, c in zip(values["parent"], values["change"]))
             losses = sum(c > p for p, c in zip(values["parent"], values["change"]))
             base = sides["parent"]["median"]
             out[workload][name] = {
                 **sides, "pairs": len(pairs), "change_wins": wins, "change_losses": losses,
+                "pair_ratio": spread(ratios) if ratios else None,
                 "median_change_pct": 100.0 * (sides["change"]["median"] - base) / base,
                 "parent_iqr": sides["parent"]["q3"] - sides["parent"]["q1"],
             }
     return out
+
+
+def flag_regressions(summary, checkout):
+    """Every end-to-end metric of ``summary`` whose change median is worse
+    than the parent's by more than its ``bound`` in ``BENCHMARK.json``."""
+    with open(os.path.join(checkout, "BENCHMARK.json"), encoding="utf-8") as fh:
+        bounds = {m["name"]: m["bound"] for m in json.load(fh)["end_to_end"]}
+    return [{"workload": workload, "metric": name, "bound_pct": 100.0 * bounds[name],
+             "median_change_pct": stats["median_change_pct"]}
+            for workload, metrics in sorted(summary.items())
+            for name, stats in sorted(metrics.items())
+            if name in bounds and stats["median_change_pct"] > 100.0 * bounds[name]]
 
 
 def map_table(runs, floor=0.5):
@@ -162,13 +181,20 @@ def main(argv=None):
         traces = {"workload": workload, "seed": int(seed), **{
             side: run_once(dirs[side], workload, int(seed), args.seconds, trace=1)["result"]
             for side in SIDES}}
+    summary = summarise(runs)
+    flagged = flag_regressions(summary, dirs["change"])
     doc = {**{side: src_record(dirs[side]) for side in SIDES},
-           "environment": environment(args), "summary": summarise(runs),
+           "environment": environment(args), "summary": summary, "flagged": flagged,
            "map_50": map_table(runs), "traces": traces, "runs": runs}
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
     print(f"{len(runs)} runs -> {args.out}")
+    for f in flagged:
+        print(f"FLAGGED {f['workload']} {f['metric']}: median {f['median_change_pct']:+.1f} % "
+              f"against a bound of {f['bound_pct']:.0f} %")
+    if not flagged:
+        print("no end-to-end median is worse than its bound")
     return 0
 
 
