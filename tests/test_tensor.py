@@ -38,6 +38,17 @@ from tadkit.tensor import (
 from oracles import direct_conv1d, direct_conv1d_grads, direct_maxpool1d, numeric_gradient
 
 
+def padded_conv(x, kernel, bias, stride=1, padding="same"):
+    """conv1d in the oracle's padding modes. conv1d is always same-padded;
+    the "valid" outputs, those that read no padding, are taken from its
+    stride-1 output: the first at row (K - 1) // 2, then every stride-th."""
+    if padding == "same":
+        return conv1d(x, kernel, bias, stride=stride)
+    k, t = as_tensor(kernel).data.shape[0], as_tensor(x).data.shape[-2]
+    rows = np.arange((k - 1) // 2, t - k // 2, stride)
+    return take(conv1d(x, kernel, bias), (Ellipsis, rows, slice(None)))
+
+
 def single_param_grad(f, value, shape=None):
     """Analytic gradient of f(p) for one parameter via the graph."""
     p = Parameter(np.asarray(value, dtype=float).reshape(shape) if shape else value, name="p")
@@ -142,6 +153,12 @@ class TestActivations:
 
 
 class TestConv1d:
+    def test_valid_conv_known_values(self):
+        x = np.array([[1.0], [2.0], [3.0], [4.0]])
+        kernel = np.array([1.0, 0.0, -1.0]).reshape(3, 1, 1)
+        out = padded_conv(Tensor(x), Tensor(kernel), Tensor(np.zeros(1)), padding="valid")
+        assert_allclose(out.data, [[-2.0], [-2.0]])
+
     def test_same_padding_lengths(self):
         rng = np.random.default_rng(0)
         for t, k, s in [(512, 9, 1), (512, 9, 2), (7, 3, 2), (5, 4, 3), (1, 1, 1)]:
@@ -150,13 +167,13 @@ class TestConv1d:
             out = conv1d(Tensor(x), Tensor(kernel), Tensor(np.zeros(3)), stride=s)
             assert out.data.shape == (-(-t // s), 3)
 
-    @pytest.mark.parametrize("stride,padding", [(1, "same"), (2, "same"), (3, "same")])
+    @pytest.mark.parametrize("stride,padding", [(1, "same"), (2, "same"), (1, "valid"), (3, "same")])
     def test_forward_matches_direct_loops(self, stride, padding):
         rng = np.random.default_rng(42)
         x = rng.normal(size=(20, 3))
         kernel = rng.normal(size=(5, 3, 4))
         bias = rng.normal(size=4)
-        out = conv1d(Tensor(x), Tensor(kernel), Tensor(bias), stride=stride)
+        out = padded_conv(Tensor(x), Tensor(kernel), Tensor(bias), stride, padding)
         assert_allclose(out.data, direct_conv1d(x, kernel, bias, stride, padding), rtol=1e-12)
 
     def test_gradients_match_finite_differences(self):
@@ -256,14 +273,14 @@ class TestBatchAxis:
     """(B, T, C) inputs give, window for window, what (T, C) inputs give."""
 
     @pytest.mark.parametrize(
-        "stride,padding", [(1, "same"), (2, "same")]
+        "stride,padding", [(1, "same"), (2, "same"), (1, "valid"), (2, "valid")]
     )
     def test_conv_matches_direct_loops_per_window(self, stride, padding):
         rng = np.random.default_rng(43)
         x = rng.normal(size=(3, 20, 3))
         kernel = rng.normal(size=(5, 3, 4))
         bias = rng.normal(size=4)
-        out = conv1d(Tensor(x), Tensor(kernel), Tensor(bias), stride=stride)
+        out = padded_conv(Tensor(x), Tensor(kernel), Tensor(bias), stride, padding)
         expect = np.stack([direct_conv1d(w, kernel, bias, stride, padding) for w in x])
         assert out.data.shape == expect.shape
         assert_allclose(out.data, expect, rtol=1e-12)
@@ -431,7 +448,7 @@ class TestConvBlocks:
     @pytest.mark.parametrize("row_block", [tadkit.tensor.ROW_BLOCK, 16, 1])
     @pytest.mark.parametrize("batched", [False, True])
     @pytest.mark.parametrize("k", [1, 2, 5])
-    @pytest.mark.parametrize("padding", ["same"])  # the oracle's mode; conv1d has no other
+    @pytest.mark.parametrize("padding", ["same", "valid"])
     @pytest.mark.parametrize("stride", [1, 2, 3])
     def test_gradients_match_central_differences(
             self, stride, padding, k, batched, row_block, monkeypatch):
@@ -447,7 +464,7 @@ class TestConvBlocks:
 
         weights = rng.normal(size=direct(x0, k0, b0).shape)
         x, kern, b = Parameter(x0.copy(), "x"), Parameter(k0.copy(), "k"), Parameter(b0.copy(), "b")
-        tsum(mul(conv1d(x, kern, b, stride=stride), weights)).backward()
+        tsum(mul(padded_conv(x, kern, b, stride, padding), weights)).backward()
 
         def loss_of(part):
             def f(v):
@@ -610,11 +627,11 @@ class TestTiledConv:
         return calls
 
     @staticmethod
-    def float32_conv(x0, k0, b0, g):
+    def float32_conv(x0, k0, b0, g, padding="same"):
         """Output and float64 gradients of sum(conv1d(x, k, b) * g), run in
         float32 over float64 parameters."""
         x, k, b = (Parameter(v.copy(), name=n) for v, n in ((x0, "x"), (k0, "k"), (b0, "b")))
-        out = conv1d(*(cast(p, np.float32) for p in (x, k, b)))
+        out = padded_conv(*(cast(p, np.float32) for p in (x, k, b)), padding=padding)
         assert out.data.dtype == np.float32
         tsum(mul(cast(out, np.float64), g)).backward()
         return out.data, x.grad, k.grad, b.grad
@@ -630,6 +647,7 @@ class TestTiledConv:
         (24, 9, "same", True),    # exactly one tile, the shortest output taken
         (41, 9, "same", False),   # unbatched (T, C)
         (60, 8, "same", True),    # even K: 25 outputs a tile, the extra zero on the right
+        (45, 7, "valid", True),
         (40, 16, "same", False),  # the widest kernel taken
     ])
     def test_matches_the_direct_oracle(self, small_gate, tiled_calls, t, k, padding, batched):
@@ -637,10 +655,11 @@ class TestTiledConv:
         x0 = rng.normal(size=(2, t, 6))
         k0 = rng.normal(size=(k, 6, 5))
         b0 = rng.normal(size=5)
-        g = rng.normal(size=(2, t, 5))
+        out_len = t if padding == "same" else t - k + 1
+        g = rng.normal(size=(2, out_len, 5))
         if not batched:
             x0, g = x0[0], g[0]
-        out, dx, dk, db = self.float32_conv(x0, k0, b0, g)
+        out, dx, dk, db = self.float32_conv(x0, k0, b0, g, padding)
         assert len(tiled_calls) == 2  # the forward pass and the kernel gradient
         windows = x0 if batched else x0[None]
         grads = g if batched else g[None]
