@@ -3,12 +3,14 @@
 Prediction runs as one array pipeline per video. The parameters are cast
 to float32 once per video; windows are decoded over that copy in stacks of
 DECODE_STACK, one batched float32 pass per stack (one cast of its input)
-under ``no_grad()``, and the anchors of all windows become one row each of
-per-video arrays: class probabilities (N, K+1), a NumPy softmax of the
-decoded logits, overlap (N,), and start/end in video snippets. Each row's
-class probabilities are combined with the mean snippet scores over its
-span (summed over blocks, averaged over rows and blocks, read from one
-prefix-sum table) and gated by the predicted overlap:
+under ``no_grad()``. A full stack has rows enough for the tiled conv path
+(``tensor.conv1d``) in the wide base convs, and the cast copy keeps their
+kernel transforms for the whole video. The anchors of all windows become
+one row each of per-video arrays: class probabilities (N, K+1), a NumPy
+softmax of the decoded logits, overlap (N,), and start/end in video
+snippets. Each row's class probabilities are combined with the mean
+snippet scores over its span (summed over blocks, averaged over rows and
+blocks, read from one prefix-sum table) and gated by the predicted overlap:
 
     base = [class probabilities if enabled] + [mean snippet scores if enabled]
     fused = overlap * base            (when overlap gating is enabled)
@@ -34,7 +36,10 @@ from .model import Network
 from .tensor import no_grad
 
 PREDICTION_OVERLAP = 0.25  # window overlap fraction at inference time
-DECODE_STACK = 4  # windows decoded together as one batch at inference time
+#: windows decoded together as one batch at inference time; a full stack
+#: gives the default network's base.1 4,096 rows and base.2 2,048, both at
+#: least ``tensor.TILED_MIN_ROWS``
+DECODE_STACK = 16
 
 
 @dataclass(frozen=True)
@@ -165,10 +170,11 @@ def nms(detections, threshold):
 def predict_video(seq: ScoreSequence, network: Network, categories, config: FusionConfig):
     """Detect actions in one video.
 
-    The parameters are cast to float32 once for the whole video. Windows
-    at 25% overlap are decoded over that copy in stacks of DECODE_STACK
-    (the last may be shorter), each as one float32 batch with no graph and
-    one cast of its input; their anchors are mapped to video coordinates,
+    The parameters are cast to float32 once for the whole video, and the
+    tiled convs transform their kernels once on that copy. Windows at 25%
+    overlap are decoded over it in stacks of DECODE_STACK (the last may be
+    shorter, and too short to tile), each as one float32 batch with no graph
+    and one cast of its input; their anchors are mapped to video coordinates,
     clipped to [0, T] and gathered into per-video arrays in
     window-then-anchor order. Zero-width rows are dropped, the rest are
     fused, suppressed per category, and returned sorted by descending
@@ -192,8 +198,9 @@ def predict_video(seq: ScoreSequence, network: Network, categories, config: Fusi
     windows = slide_windows(seq, None, t_w, PREDICTION_OVERLAP, keep_empty=True)
 
     probs, overlap, starts, ends = [], [], [], []
-    # once per video, as nothing changes the parameters in between; a value
-    # beyond float32's range casts to inf, silently, and the first stack raises
+    # once per video, as nothing changes the parameters in between, and with
+    # them the tiled kernels' transforms; a value beyond float32's range
+    # casts to inf, silently, and the first stack raises
     with no_grad(), np.errstate(over="ignore", invalid="ignore"):
         params = network.cast_parameters("float32")
     for first in range(0, len(windows), DECODE_STACK):

@@ -264,9 +264,6 @@ class DecodedAnchors:
     centers: Tensor       # (N,) window-normalized
     widths: Tensor        # (N,)
 
-    def __len__(self):
-        return self.overlap.data.shape[-1]
-
 
 def _layout(config):
     """``(name, shape)`` of every parameter in declaration order: each base
@@ -317,17 +314,16 @@ class Network:
     def num_parameters(self) -> int:
         return sum(p.data.size for p in self._params)
 
-    @property
-    def num_anchors(self) -> int:
-        return len(self.anchors)
-
     def cast_parameters(self, dtype):
         """Every parameter in declaration order, cast to ``dtype`` ("float32"
         or "float64"): in float32 one ``cast`` each, whose gradient reaches
         the float64 parameter; in float64 the ``Parameter`` objects
-        themselves. The copies are not kept: the parameters change under
+        themselves. The network keeps no copy: the parameters change under
         every optimizer step, so a caller casts once per run of unchanged
-        parameters (a video in ``predict_video``, a minibatch in ``train``)."""
+        parameters (a video in ``predict_video``, a minibatch in ``train``)
+        and drops the list after it. A float32 kernel that a tiled conv
+        reads also keeps that conv's kernel transform (``tensor._Cast``),
+        so a list is transformed once and its transforms go with it."""
         return [cast(p, dtype) for p in self._params]
 
     def forward(self, features, params=None):

@@ -7,10 +7,11 @@ class softmax is read only at prediction, in NumPy: ``inference.softmax``).
 Convolution and pooling also take a leading batch axis, (batch, time,
 channels), so a stack of windows runs as one graph. Convolution has two
 paths (see ``conv1d``): wide float32 stride-1 convs over many rows, in the
-default network the 256-filter base convs of a training minibatch, run as
-overlap-save tiles through real DFT bases, all GEMMs; every other call
-(float64, strided, narrow, and prediction's stacks of 4 windows) GEMMs its
-im2col matrix in row blocks forward and tap blocks backward, never whole.
+default network the 256-filter base convs at T = 256 and 128 of a training
+minibatch or a full prediction stack, run as overlap-save tiles through
+real DFT bases, all GEMMs, each kernel transformed once per ``cast``; every
+other call (float64, strided, narrow or short) GEMMs its im2col matrix in
+row blocks forward and tap blocks backward, never whole.
 Leaves (``Tensor(...)``, ``as_tensor``, parameters) are float64; every op
 keeps its inputs' dtype, and ``cast`` moves a value to float32 and back, its
 gradient arriving in the source's dtype. So a float32 graph over float64
@@ -174,7 +175,10 @@ def flat_views(shapes):
     """``(data, grad, views)``: a new uninitialised flat data vector, a zero
     gradient vector as long, and per shape in order a (data, grad) view pair."""
     sizes = [math.prod(shape) for shape in shapes]
-    data = np.empty(sum(sizes), dtype=DTYPE)
+    try:
+        data = np.empty(sum(sizes), dtype=DTYPE)
+    except ValueError:  # more values than one NumPy array can hold
+        raise ConfigError(f"{sum(sizes)} parameters exceed NumPy's largest array") from None
     grad = np.zeros(data.size, dtype=DTYPE)  # calloc: pages stay unmapped until written
     cuts = np.cumsum(sizes)[:-1]
     views = [(d.reshape(shape), g.reshape(shape))
@@ -363,10 +367,18 @@ class _Cast(Tensor):
     """``cast``'s output. A gradient passes straight on to the source as it
     arrives, which accumulates it in its own dtype: none is held here until
     the node's turn comes (a parameter's cast comes late), so each float32
-    kernel gradient is freed as soon as its conv has made it."""
+    kernel gradient is freed as soon as its conv has made it.
+
+    ``spectra``: this value's DFT slices as a tiled ``conv1d`` kernel, made
+    by the first such call and reused, backward too, until the node goes.
+    No op output is written in place, so they cannot go stale, as they
+    could on a ``Parameter``, which the optimizer updates in place."""
+
+    __slots__ = ("spectra",)
 
     def __init__(self, a, dtype):
         super().__init__(a.data.astype(dtype), parents=(a,))
+        self.spectra = None
 
     def _accumulate(self, g):
         self._parents[0]._accumulate(g)
@@ -466,11 +478,11 @@ ROW_BLOCK = 1024
 #: and 9, C = 64 and 256, B = 4, 8 and 16 and T = 64, 128 and 256. With
 #: K >= 7 and B * T_out >= 2048 the tiled path took 0.54-0.69 of im2col's
 #: time; at K = 5 it took 0.84-1.21 and at K = 3 0.77-1.34. With fewer rows
-#: the saving shrinks, and below 1,024 rows the kernel transform, paid per
-#: call, often makes the tiled path the slower one. Above K = 9 the upper
-#: bound TILE / 2 keeps at least 17 outputs a tile; timed the same way at
-#: K = 10 to 16 (C = 64 and 256; B, T = 8, 256 / 16, 128 / 16, 256), the
-#: tiled path took 0.37-0.73 of im2col's time.
+#: the saving shrinks, and below 1,024 rows the kernel transform, then paid
+#: per call (now once per cast), often made the tiled path the slower one.
+#: Above K = 9 the upper bound TILE / 2 keeps at least 17 outputs a tile;
+#: timed the same way at K = 10 to 16 (C = 64 and 256; B, T = 8, 256 /
+#: 16, 128 / 16, 256), the tiled path took 0.37-0.73 of im2col's time.
 TILE = 32
 TILED_MIN_KERNEL = 7
 TILED_MIN_CHANNELS = 64
@@ -537,6 +549,16 @@ def _kernel_spectra(weights):
     return (_TILE_R[:, :k] @ weights.reshape(k, -1)).reshape(-1, c_in, c_out)
 
 
+def _prepared_spectra(kernel):
+    """``_kernel_spectra`` of a kernel tensor, made once per cast: kept on a
+    ``_Cast`` kernel (see there), made afresh for any other."""
+    if not isinstance(kernel, _Cast):
+        return _kernel_spectra(kernel.data)
+    if kernel.spectra is None:
+        kernel.spectra = _kernel_spectra(kernel.data)
+    return kernel.spectra
+
+
 def conv1d(x, kernel, bias, stride=1) -> Tensor:
     """Temporal cross-correlation of a (T, C_in) or (B, T, C_in) input with
     a (K, C_in, C_out) kernel; the output keeps the input's batch axis.
@@ -555,15 +577,14 @@ def conv1d(x, kernel, bias, stride=1) -> Tensor:
       TILE / 2``, at least ``TILED_MIN_CHANNELS`` channels in and out, a
       whole tile of outputs and ``B * T_out >= TILED_MIN_ROWS``: in the
       default network, the 256-filter base convs at T = 256 and 128 of a
-      16-window training minibatch. Overlap-save tiles of ``TILE`` inputs
-      go through real DFT bases as GEMMs (``_tile_bases``): 47 slice
-      products per 24 outputs in place of 9 taps each at K = 9. The
-      backward pass is each GEMM transposed plus an overlap-add, and it
-      recomputes both transforms. Its float32 error against the direct sum
-      is ~1e-7 of the output's scale, like im2col's. Prediction decodes
-      stacks of 4 windows (1,024 rows at T = 256), so it stays on im2col:
-      its kernel transforms would be paid per stack, or cached per video at
-      a higher memory peak.
+      16-window training minibatch or prediction stack. Overlap-save tiles
+      of ``TILE`` inputs go through real DFT bases as GEMMs
+      (``_tile_bases``): 47 slice products per 24 outputs in place of 9
+      taps each at K = 9. The kernel's transform is made once per ``cast``
+      (``_Cast``): a video's stacks and a minibatch's backward pass reuse
+      it. The backward pass is each GEMM transposed plus an overlap-add,
+      and it recomputes the input's transform. Its float32 error against
+      the direct sum is ~1e-7 of the output's scale, like im2col's.
     """
     x, kernel, bias = as_tensor(x), as_tensor(kernel), as_tensor(bias)
     what = "(T, C_in) or (B, T, C_in) input"
@@ -596,7 +617,7 @@ def conv1d(x, kernel, bias, stride=1) -> Tensor:
         tiles = -(-out_len // m)
         right = m * (tiles - 1) + TILE - left - T
         products = np.matmul(_tile_spectra(_pad_time(xb, left, right, 0.0), m, tiles),
-                             _kernel_spectra(kernel.data))
+                             _prepared_spectra(kernel))
         y = (_TILE_Q[:m] @ products.reshape(len(products), -1)).reshape(m, B, tiles, c_out)
         out_data = y.transpose(1, 2, 0, 3).reshape(B, tiles * m, c_out)[:, :out_len]
         del products, y
@@ -622,7 +643,7 @@ def conv1d(x, kernel, bias, stride=1) -> Tensor:
                                .reshape(K, c_in, c_out))
             del dspectra
         if x.requires_grad:
-            dspectra = np.matmul(dproducts, _kernel_spectra(kernel.data).transpose(0, 2, 1))
+            dspectra = np.matmul(dproducts, _prepared_spectra(kernel).transpose(0, 2, 1))
             del dproducts
             drows = (_TILE_P.T @ dspectra.reshape(len(dspectra), -1)).reshape(TILE, B, tiles, c_in)
             del dspectra

@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 import shutil
 import struct
 import warnings
@@ -438,6 +439,16 @@ class TestExitCodes:
         assert run("train", "--data", str(tmp_path), "--out", str(tmp_path),
                    "--config", str(cfg)) == 1
         assert "train.epochs" in capsys.readouterr().err
+
+    def test_oversized_network_is_config_error(self, tiny_inputs, tmp_path, capsys):
+        # ~1.4e20 parameters, past NumPy's largest array: nothing is allocated
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(json.dumps({**TINY, "net.base_filters": 4_000_000_000}))
+        assert run("train", "--data", str(tiny_inputs / "data"), "--out",
+                   str(tmp_path / "runs"), "--config", str(cfg)) == 1
+        err = capsys.readouterr().err
+        assert re.match(r"error: \d{21} parameters exceed", err)
+        assert "Traceback" not in err
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"

@@ -8,6 +8,7 @@ from tadkit.data import (
 from tadkit.errors import ConfigError, DataError, UsageError
 import tadkit.inference
 import tadkit.model
+import tadkit.tensor
 from tadkit.inference import (
     DECODE_STACK,
     PREDICTION_OVERLAP,
@@ -21,6 +22,7 @@ from tadkit.inference import (
 )
 from tadkit.model import Network, NetworkConfig
 from tadkit.tensor import Parameter
+from tadkit.training import TrainConfig, train
 
 from oracles import brute_nms, direct_mean_scores
 
@@ -282,7 +284,7 @@ class TestPredictVideo:
         for window in slide_windows(seq, None, t_w, PREDICTION_OVERLAP, keep_empty=True):
             decoded = self.net.decode(window.features, self.net.cast_parameters("float32"))
             probs = softmax(decoded.class_logits.data)
-            for i in range(len(decoded)):
+            for i in range(decoded.overlap.data.shape[-1]):
                 center = window.start + decoded.centers.data[i] * t_w
                 width = decoded.widths.data[i] * t_w
                 start = min(max(center - width / 2, 0.0), t_v)
@@ -346,13 +348,48 @@ class TestPredictVideo:
             predict_video(seq, self.net, self.categories, FusionConfig())
 
 
+def per_window_candidates(seq, net, windows, categories, config):
+    """Each window decoded on its own in float64, then the same array
+    pipeline as ``predict_video``: the candidates it hands to NMS."""
+    t_v, t_w = seq.num_snippets, net.config.window_length
+    probs, overlap, starts, ends = [], [], [], []
+    for window in windows:
+        decoded = net.decode(window.features)
+        probs.append(softmax(decoded.class_logits.data))
+        overlap.append(decoded.overlap.data)
+        centers = window.start + decoded.centers.data * t_w
+        widths = decoded.widths.data * t_w
+        starts.append(np.clip(centers - widths / 2, 0.0, t_v))
+        ends.append(np.clip(centers + widths / 2, 0.0, t_v))
+    starts, ends = np.concatenate(starts), np.concatenate(ends)
+    live = ends > starts
+    starts, ends = starts[live], ends[live]
+    mean = mean_snippet_scores(seq, starts, ends, categories)
+    _, category, confidence = fuse_scores(
+        np.concatenate(probs)[live], np.concatenate(overlap)[live], mean, config)
+    return [Detection(seq.video_id, float(s), float(e), int(c), float(f))
+            for s, e, c, f in zip(starts, ends, category, confidence)]
+
+
+def assert_float32_close(low, wide):
+    """float32 candidates against float64 ones: the same rows and categories,
+    positions within 1e-4 snippets and confidences within 1e-5 relative
+    (``TestTiledPrediction`` measured up to 2e-6 snippets and 2e-7)."""
+    assert len(low) == len(wide) > 100
+    assert [d.category for d in low] == [d.category for d in wide]
+    assert_allclose([(d.start, d.end) for d in low], [(d.start, d.end) for d in wide],
+                    rtol=0, atol=1e-4)
+    assert_allclose([d.confidence for d in low], [d.confidence for d in wide],
+                    rtol=1e-5, atol=1e-6)
+
+
 class TestStackedDecode:
-    """Ten windows of 128 decode as two full stacks and a partial one."""
+    """Forty windows of 128 decode as two full stacks and a partial one."""
 
     def setup_method(self):
         cfg = SynthConfig(
             num_videos=1, num_classes=2, block_names=("a", "b"),
-            min_video_length=992, max_video_length=992, min_instances=3, max_instances=5,
+            min_video_length=3872, max_video_length=3872, min_instances=3, max_instances=5,
             min_instance_length=60, max_instance_length=90, noise_sigma=0.05,
         )
         (self.seq,), _ = synth_generate(cfg, 5)
@@ -365,25 +402,7 @@ class TestStackedDecode:
         self.windows = slide_windows(self.seq, None, 128, PREDICTION_OVERLAP, keep_empty=True)
 
     def per_window_candidates(self, config):
-        """Each window decoded on its own, then the same array pipeline."""
-        t_v = self.seq.num_snippets
-        probs, overlap, starts, ends = [], [], [], []
-        for window in self.windows:
-            decoded = self.net.decode(window.features)
-            probs.append(softmax(decoded.class_logits.data))
-            overlap.append(decoded.overlap.data)
-            centers = window.start + decoded.centers.data * 128
-            widths = decoded.widths.data * 128
-            starts.append(np.clip(centers - widths / 2, 0.0, t_v))
-            ends.append(np.clip(centers + widths / 2, 0.0, t_v))
-        starts, ends = np.concatenate(starts), np.concatenate(ends)
-        live = ends > starts
-        starts, ends = starts[live], ends[live]
-        mean = mean_snippet_scores(self.seq, starts, ends, self.categories)
-        _, category, confidence = fuse_scores(
-            np.concatenate(probs)[live], np.concatenate(overlap)[live], mean, config)
-        return [Detection(self.seq.video_id, float(s), float(e), int(c), float(f))
-                for s, e, c, f in zip(starts, ends, category, confidence)]
+        return per_window_candidates(self.seq, self.net, self.windows, self.categories, config)
 
     @staticmethod
     def assert_close(got, want):
@@ -394,7 +413,7 @@ class TestStackedDecode:
         assert_allclose([d.confidence for d in got], [d.confidence for d in want], rtol=1e-12)
 
     def test_matches_per_window_decode(self, monkeypatch):
-        assert len(self.windows) == 10 and len(self.windows) % DECODE_STACK
+        assert len(self.windows) == 40 and len(self.windows) % DECODE_STACK
         shapes, candidates = [], []
         decode = self.net.decode
 
@@ -410,8 +429,8 @@ class TestStackedDecode:
         monkeypatch.setattr(tadkit.inference, "nms", spy_nms)
         config = FusionConfig()
         got = predict_video(self.seq, self.net, self.categories, config)
-        assert shapes == [(min(DECODE_STACK, 10 - first), 128, 6)
-                          for first in range(0, 10, DECODE_STACK)]
+        assert shapes == [(min(DECODE_STACK, 40 - first), 128, 6)
+                          for first in range(0, 40, DECODE_STACK)]
         assert len(shapes) > 1 and shapes[-1][0] < DECODE_STACK
 
         want = self.per_window_candidates(config)
@@ -447,9 +466,92 @@ class TestStackedDecode:
         low, wide = candidates[0], self.per_window_candidates(FusionConfig())
         assert len(low) == len(wide) > 100
         assert [d.category for d in low] == [d.category for d in wide]
-        # snippets of a 992-snippet video, and fused scores of order 1;
-        # measured up to 5e-7 snippets and 6e-8 relative
+        # snippets of a 3872-snippet video, and fused scores of order 1;
+        # measured up to 7e-7 snippets and 7e-8 relative
         assert_allclose([(d.start, d.end) for d in low], [(d.start, d.end) for d in wide],
                         rtol=0, atol=1e-4)
         assert_allclose([d.confidence for d in low], [d.confidence for d in wide],
                         rtol=1e-5, atol=1e-6)
+
+
+class TestTiledPrediction:
+    """A network whose base.1 takes the tiled conv path on a full stack: 16
+    windows of 256 are 2,048 rows after the first pool, with 64 channels.
+    Its 36 windows are two full stacks and a partial one, which base.1 runs
+    on im2col; base.2 (1,024 rows a stack) never tiles."""
+
+    def setup_method(self):
+        cfg = SynthConfig(
+            num_videos=1, num_classes=2, block_names=("a", "b"),
+            min_video_length=6976, max_video_length=6976, min_instances=6, max_instances=8,
+            min_instance_length=60, max_instance_length=90, noise_sigma=0.05,
+        )
+        (self.seq,), (self.ann,) = synth_generate(cfg, 5)
+        self.categories = cfg.category_names
+        self.config = NetworkConfig(feature_dim=6, num_classes=2, window_length=256,
+                                    base_filters=64, anchor_filters=16)
+        self.net = Network(self.config, seed=1)
+        self.windows = slide_windows(self.seq, None, 256, PREDICTION_OVERLAP, keep_empty=True)
+        assert len(self.windows) == 36
+
+    def spy(self, monkeypatch, name):
+        """Record the first argument's shape of every ``tensor.<name>`` call."""
+        calls, original = [], getattr(tadkit.tensor, name)
+
+        def spy(data, *args):
+            calls.append(data.shape)
+            return original(data, *args)
+
+        monkeypatch.setattr(tadkit.tensor, name, spy)
+        return calls
+
+    @staticmethod
+    def spy_nms(monkeypatch):
+        """Record what every ``nms`` call is handed: the video's candidates."""
+        calls = []
+
+        def spy(detections, threshold):
+            calls.append(detections)
+            return nms(detections, threshold)
+
+        monkeypatch.setattr(tadkit.inference, "nms", spy)
+        return calls
+
+    def train_one_step(self):
+        """One Adam step: a single minibatch of 16 windows."""
+        windows = slide_windows(self.seq, self.ann.instances, 256, 0.75)[:16]
+        assert len(windows) == 16
+        train(windows, self.net, TrainConfig(epochs=1, batch_size=16, learning_rate=1e-3))
+
+    def test_kernel_is_transformed_once_per_video_and_per_minibatch(self, monkeypatch):
+        kernels = self.spy(monkeypatch, "_kernel_spectra")
+        inputs = self.spy(monkeypatch, "_tile_spectra")
+        predict_video(self.seq, self.net, self.categories, FusionConfig())
+        assert len(inputs) == len(self.windows) // DECODE_STACK == 2  # one per full stack
+        assert kernels == [(9, 64, 64)]  # base.1's, once for both stacks
+        del kernels[:], inputs[:]
+        self.train_one_step()
+        assert len(inputs) == 2  # forward, and the kernel gradient
+        assert kernels == [(9, 64, 64)]  # forward; the input gradient reuses it
+
+    def test_tiled_candidates_match_float64(self, monkeypatch):
+        inputs = self.spy(monkeypatch, "_tile_spectra")
+        candidates = self.spy_nms(monkeypatch)
+        predict_video(self.seq, self.net, self.categories, FusionConfig())
+        assert inputs
+        assert_float32_close(candidates[0], per_window_candidates(
+            self.seq, self.net, self.windows, self.categories, FusionConfig()))
+
+    def test_no_transform_outlives_its_cast(self, monkeypatch):
+        before = predict_video(self.seq, self.net, self.categories, FusionConfig())
+        self.train_one_step()
+        candidates = self.spy_nms(monkeypatch)
+        after = predict_video(self.seq, self.net, self.categories, FusionConfig())
+        fresh = Network(self.config, seed=2)
+        for p, q in zip(fresh.parameters, self.net.parameters):
+            p.data[...] = q.data
+        assert after != before
+        assert after == predict_video(self.seq, fresh, self.categories, FusionConfig())
+        # float64 never tiles, so a transform kept from before the step shows here
+        assert_float32_close(candidates[0], per_window_candidates(
+            self.seq, self.net, self.windows, self.categories, FusionConfig()))

@@ -66,7 +66,7 @@ class TestAnchorGrid:
         # maps 16/8/4 with 3, 5, 5 ratios
         net = Network(NetworkConfig(feature_dim=12, num_classes=3,
                                     base_filters=4, anchor_filters=4), seed=0)
-        assert net.num_anchors == 16 * 3 + 8 * 5 + 4 * 5 == 108
+        assert len(net.anchors) == 16 * 3 + 8 * 5 + 4 * 5 == 108
         assert np.bincount(net.anchors.layer).tolist() == [48, 40, 20]
 
 
@@ -194,22 +194,22 @@ class TestNetworkForward:
         decoded = net.decode(np.random.default_rng(2).uniform(size=(128, 6)))
         assert_allclose(decoded.centers.data, net.anchors.center, atol=1e-12)
         assert_allclose(decoded.widths.data, net.anchors.width, atol=1e-12)
-        assert_allclose(decoded.overlap.data, np.full(net.num_anchors, 0.5))
+        assert_allclose(decoded.overlap.data, np.full(len(net.anchors), 0.5))
 
     def test_decode_shapes(self):
         net = Network(small_config(), seed=0)
         decoded = net.decode(np.zeros((128, 6)))
-        n = net.num_anchors
+        n = len(net.anchors)
         assert decoded.class_logits.data.shape == (n, 3)
         assert decoded.overlap.data.shape == (n,)
-        assert len(decoded) == n
+        assert decoded.overlap.data.shape[-1] == n
 
     def test_decode_of_a_stack_matches_each_window(self):
         net = Network(small_config(), seed=3)
         x = np.random.default_rng(4).uniform(size=(3, 128, 6))
         stacked = net.decode(x)
-        assert stacked.overlap.data.shape == (3, net.num_anchors)
-        assert len(stacked) == net.num_anchors
+        assert stacked.overlap.data.shape == (3, len(net.anchors))
+        assert stacked.overlap.data.shape[-1] == len(net.anchors)
         for b in range(3):
             single = net.decode(x[b])
             for field in ("class_logits", "overlap", "centers", "widths"):

@@ -19,6 +19,11 @@ sides' quartiles. Last, it flags every end-to-end metric whose change median
 is worse than the parent's by more than its ``bound`` in the change's
 ``BENCHMARK.json``, and prints the flagged metrics after everything else.
 All metrics compared here are lower-is-better.
+
+Before the timed runs, each side runs the CLI's synth, train and predict
+once per ``BITS_SETTINGS`` entry, and the file records the SHA-256 of the
+``model.ckpt`` and ``predictions.json`` each side wrote and, per file,
+whether the two sides' bytes are equal (``bits``).
 """
 
 from __future__ import annotations
@@ -32,10 +37,42 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 WORKLOADS = ("train_default", "predict_long", "pipeline_small")
 SIDES = ("parent", "change")
+
+#: criterion 8's tiny settings (``tests/test_acceptance.py``), where no conv
+#: takes the tiled path
+TINY_SETTINGS = {
+    "synth.train_videos": 4,
+    "synth.test_videos": 2,
+    "synth.classes": 2,
+    "synth.block_names": "a,b",
+    "synth.min_video_length": 150,
+    "synth.max_video_length": 300,
+    "synth.min_instance_length": 30,
+    "synth.max_instance_length": 80,
+    "net.window_length": 128,
+    "net.base_filters": 6,
+    "net.anchor_filters": 8,
+    "train.epochs": 2,
+    "train.batch_size": 4,
+    "train.learning_rate": 0.001,
+    "train.checkpoint_every": 0,
+}
+#: the CLI settings whose outputs are compared bit for bit: the tiny ones, and
+#: the same with 64 base filters over windows of 256, test videos of 17
+#: windows and minibatches of 16, so that base.1 tiles in training and in a
+#: full prediction stack
+BITS_SETTINGS = {
+    "tiny": TINY_SETTINGS,
+    "tiled": {**TINY_SETTINGS, "net.base_filters": 64, "net.window_length": 256,
+              "synth.min_video_length": 3200, "synth.max_video_length": 3200,
+              "train.batch_size": 16},
+}
+BITS_FILES = ("model.ckpt", "predictions.json")
 
 
 def parse_seeds(spec):
@@ -154,6 +191,46 @@ def src_record(checkout):
     return {"src_sha256": digest.hexdigest(), "src_lines": lines}
 
 
+def bits_record(checkout, workdir):
+    """Per ``BITS_SETTINGS`` entry, the SHA-256 of each of ``BITS_FILES``
+    from the CLI of ``checkout`` (synth, train, predict), run under
+    ``workdir`` with one BLAS thread."""
+    env = {**os.environ, "PYTHONPATH": os.path.join(checkout, "src"),
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    record = {}
+    for name, settings in BITS_SETTINGS.items():
+        folder = os.path.join(workdir, name)
+        os.makedirs(folder)
+        config = os.path.join(folder, "settings.json")
+        with open(config, "w", encoding="utf-8") as fh:
+            json.dump(settings, fh)
+        data, model = os.path.join(folder, "data"), os.path.join(folder, "model")
+        for argv in (["synth", "--out", data],
+                     ["train", "--data", data, "--out", model],
+                     ["predict", "--data", data, "--checkpoint",
+                      os.path.join(model, "model.ckpt"),
+                      "--out", os.path.join(model, "predictions.json")]):
+            subprocess.run([sys.executable, "-m", "tadkit.cli", *argv, "--config", config],
+                           cwd=folder, env=env, capture_output=True, check=True)
+        record[name] = {}
+        for file in BITS_FILES:
+            with open(os.path.join(model, file), "rb") as fh:
+                record[name][file] = hashlib.sha256(fh.read()).hexdigest()
+    return record
+
+
+def compare_bits(checkouts):
+    """``bits_record`` of every side, plus ``bits_equal`` per settings
+    entry and file."""
+    with tempfile.TemporaryDirectory() as workdir:
+        sides = {side: bits_record(checkouts[side], os.path.join(workdir, side))
+                 for side in SIDES}
+    return {name: {**{side: sides[side][name] for side in SIDES},
+                   "bits_equal": {file: sides["parent"][name][file] == sides["change"][name][file]
+                                  for file in BITS_FILES}}
+            for name in BITS_SETTINGS}
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", required=True)
@@ -166,6 +243,7 @@ def main(argv=None):
     args = p.parse_args(argv)
     dirs = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
 
+    bits = compare_bits(dirs)  # first: a side whose CLI fails stops the set before any run
     runs = []
     for workload in args.workloads.split(","):
         for i, seed in enumerate(parse_seeds(args.seeds)):
@@ -185,11 +263,15 @@ def main(argv=None):
     flagged = flag_regressions(summary, dirs["change"])
     doc = {**{side: src_record(dirs[side]) for side in SIDES},
            "environment": environment(args), "summary": summary, "flagged": flagged,
-           "map_50": map_table(runs), "traces": traces, "runs": runs}
+           "map_50": map_table(runs), "traces": traces, "bits": bits, "runs": runs}
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
     print(f"{len(runs)} runs -> {args.out}")
+    for name, record in bits.items():
+        print(f"bits {name}: " + ", ".join(
+            f"{file} {'equal' if same else 'DIFFERENT'}"
+            for file, same in record["bits_equal"].items()))
     for f in flagged:
         print(f"FLAGGED {f['workload']} {f['metric']}: median {f['median_change_pct']:+.1f} % "
               f"against a bound of {f['bound_pct']:.0f} %")
