@@ -11,16 +11,16 @@ demo builds the default network and inspects the geometry.
 import numpy as np
 
 from tadkit import NetworkConfig, Network, anchor_grid
-from tadkit.model import DEFAULT_RATIOS, MAP_STRIDES
+from tadkit.model import MAP_STRIDES, RATIOS, WIDTH_SCALE
 
 config = NetworkConfig(feature_dim=12, num_classes=3)
 print("window length:", config.window_length)
 print("anchor map lengths:", config.map_lengths)
 
 # Map m has window_length / stride cells; each cell carries one anchor per
-# configured ratio, centered on the cell.
+# ratio of the map's fixed set, centered on the cell.
 total = 0
-for layer, (length, ratios) in enumerate(zip(config.map_lengths, config.ratios)):
+for layer, (length, ratios) in enumerate(zip(config.map_lengths, RATIOS)):
     print(f"map {layer}: stride {MAP_STRIDES[layer]:3d}, "
           f"{length:2d} cells x {len(ratios)} ratios = {length * len(ratios)} anchors")
     total += length * len(ratios)
@@ -28,7 +28,7 @@ print("total anchors per window:", total)
 
 # Anchors are plain geometry, before any learning.  The first few on the
 # finest map (all in window-normalized [0, 1] coordinates):
-for anchor in anchor_grid(config.map_lengths[0], DEFAULT_RATIOS[0])[:4]:
+for anchor in anchor_grid(config.map_lengths[0], RATIOS[0])[:4]:
     print(f"  cell {anchor.cell} ratio {anchor.ratio:4.2f} -> "
           f"center {anchor.center:.4f} width {anchor.width:.4f} "
           f"span [{anchor.start:+.4f}, {anchor.end:.4f})")
@@ -54,7 +54,7 @@ print("fresh network, max width ratio:      ",
 # the bias sets the offsets the network decodes.
 raw = np.zeros(config.head_width + 3)
 raw[-2] = 1.0        # center offset
-raw[-1] = np.log(2.0) / 0.1   # width offset chosen to double the width
+raw[-1] = np.log(2.0) / WIDTH_SCALE   # width offset chosen to double the width
 for p in network.parameters:
     if p.name.startswith("pred."):
         p.data[...] = 0.0 if p.name.endswith(".kernel") else np.tile(raw, p.data.size // raw.size)

@@ -52,7 +52,6 @@ from .losses import (
 from .matching import hard_negative_mine, match_anchors, segment_iou_matrix
 from .model import (
     BASE_ARCHITECTURES,
-    LayerSpec,
     Network,
     NetworkConfig,
     anchor_grid,

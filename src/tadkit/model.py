@@ -1,11 +1,14 @@
 """Anchor-based 1D detection network over snippet score sequences.
 
-A stack of base layers reduces a (T_w, D) window (or a (B, T_w, D) stack
-of windows, run as one graph) by a factor of 16, then
-three stride-2 anchor convolutions produce feature maps of length T_w/32,
-T_w/64 and T_w/128. Each map cell carries a set of anchor segments of
-fixed aspect ratios; a linear prediction convolution emits, per anchor,
-K+1 class scores, an overlap logit, and center/width offsets.
+A stack of base layers, one of the ``BASE_ARCHITECTURES`` presets, reduces
+a (T_w, D) window (or a (B, T_w, D) stack of windows, run as one graph) by
+a factor of 16, then three stride-2 anchor convolutions produce feature
+maps of length T_w/32, T_w/64 and T_w/128. Each map cell carries a set of
+anchor segments of fixed aspect ratios (``RATIOS``); a linear prediction
+convolution emits, per anchor, K+1 class scores, an overlap logit, and
+center/width offsets. Kernel sizes, ratios and the offset decoding are the
+paper's fixed values, module constants that no config sets; a checkpoint
+records them and loads only at those values.
 
 ``Network.anchors`` is one record array of default segments (center,
 width, layer, cell, ratio, start, end), ordered map by map, cell-major then
@@ -18,13 +21,13 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from itertools import islice
 
 import numpy as np
 
 from .errors import ConfigError, DataError, UsageError
-from .io import _finite, _Reader, atomic_write
+from .io import _Reader, atomic_write
 from .optim import xavier_init
 from .tensor import (
     Parameter,
@@ -49,27 +52,29 @@ CHECKPOINT_VERSION = 1
 
 #: reduction factors of the three anchor maps relative to the window
 MAP_STRIDES = (32, 64, 128)
-BASE_STRIDE = 16
+
+#: The paper's fixed design values: kernel sizes of the anchor and
+#: prediction convolutions, one ratio set per anchor map, and the decoding
+#: of the center and width offsets.
+ANCHOR_KERNEL = 9
+PRED_KERNEL = 3
+RATIOS = ((1.0, 1.5, 2.0), (0.5, 0.75, 1.0, 1.5, 2.0), (0.5, 0.75, 1.0, 1.5, 2.0))
+CENTER_SCALE = 0.1   # scales the center offset
+WIDTH_SCALE = 0.1    # scales the width offset inside exp()
+DELTA_CLAMP = 50.0   # raw width offsets are clamped to +-this
+
+#: the fixed values under the keys a checkpoint's config records them by
+_FIXED = {"anchor_kernel": ANCHOR_KERNEL, "pred_kernel": PRED_KERNEL, "ratios": RATIOS,
+          "center_scale": CENTER_SCALE, "width_scale": WIDTH_SCALE, "delta_clamp": DELTA_CLAMP}
 
 
 @dataclass(frozen=True)
 class LayerSpec:
-    """One base layer: a ReLU convolution or a max-pool."""
+    """One base layer: a ReLU convolution of ``base_filters`` or a max-pool."""
 
     kind: str  # "conv" | "pool"
     kernel: int
     stride: int
-    filters: int = None  # conv only; None means the network's base_filters
-
-    def __post_init__(self):
-        if self.kind not in ("conv", "pool"):
-            raise ConfigError(f"layer kind must be 'conv' or 'pool', got {self.kind!r}")
-        if self.kernel < 1:
-            raise ConfigError(f"layer kernel must be >= 1, got {self.kernel}")
-        if self.stride not in (1, 2):
-            raise ConfigError(f"layer stride must be 1 or 2, got {self.stride}")
-        if self.kind == "pool" and self.filters is not None:
-            raise ConfigError("pool layers take no filter count")
 
 
 def _stages(conv_layers, pool=True):
@@ -81,9 +86,9 @@ def _stages(conv_layers, pool=True):
     return tuple(out)
 
 
-#: Preset base stacks. They differ in how temporal reduction happens
-#: (strided convolution vs max-pooling), depth, and kernel size. "B" is
-#: the default and the strongest performer of the five.
+#: Preset base stacks, each reducing the window by 16. They differ in how
+#: temporal reduction happens (strided convolution vs max-pooling), depth,
+#: and kernel size. "B" is the default and the strongest performer of the five.
 BASE_ARCHITECTURES = {
     "A": _stages([LayerSpec("conv", 9, 2)], pool=False),
     "B": _stages([LayerSpec("conv", 9, 1)]),
@@ -92,23 +97,19 @@ BASE_ARCHITECTURES = {
     "E": _stages([LayerSpec("conv", 3, 1)]),
 }
 
-DEFAULT_RATIOS = ((1.0, 1.5, 2.0), (0.5, 0.75, 1.0, 1.5, 2.0), (0.5, 0.75, 1.0, 1.5, 2.0))
-
 
 @dataclass
 class NetworkConfig:
+    """What varies between networks: the data's shape, the window, the
+    base preset and the filter counts. Everything else is a module
+    constant (``RATIOS`` and the rest)."""
+
     feature_dim: int
     num_classes: int
     window_length: int = 512
-    base_arch: object = "B"  # preset name or explicit tuple of LayerSpec
+    base_arch: str = "B"  # a BASE_ARCHITECTURES name
     base_filters: int = 256
     anchor_filters: int = 512
-    anchor_kernel: int = 9
-    pred_kernel: int = 3
-    ratios: tuple = DEFAULT_RATIOS
-    center_scale: float = 0.1   # scales the center offset
-    width_scale: float = 0.1    # scales the width offset inside exp()
-    delta_clamp: float = 50.0   # raw width offsets are clamped to +-this
 
     def __post_init__(self):
         if self.feature_dim < 1:
@@ -122,46 +123,12 @@ class NetworkConfig:
             )
         if min(self.base_filters, self.anchor_filters) < 1:
             raise ConfigError("filter counts must be positive")
-        if self.anchor_kernel < 1 or self.pred_kernel < 1:
-            raise ConfigError("kernel sizes must be positive")
-        if len(self.ratios) != len(MAP_STRIDES):
-            raise ConfigError(f"need one ratio set per anchor map ({len(MAP_STRIDES)})")
-        for rset in self.ratios:
-            if not rset or any(r <= 0 for r in rset):
-                raise ConfigError(f"ratios must be positive, got {rset}")
-        if self.delta_clamp <= 0:
-            raise ConfigError("delta_clamp must be positive")
-        self.ratios = tuple(tuple(float(r) for r in rset) for rset in self.ratios)
-        self._check_base()
+        if not isinstance(self.base_arch, str) or self.base_arch not in BASE_ARCHITECTURES:
+            raise ConfigError(f"base_arch must be a preset name, one of "
+                              f"{sorted(BASE_ARCHITECTURES)}; got {self.base_arch!r}")
 
     def base_layers(self):
-        if isinstance(self.base_arch, str):
-            try:
-                return BASE_ARCHITECTURES[self.base_arch]
-            except KeyError:
-                raise ConfigError(
-                    f"unknown base architecture {self.base_arch!r}; "
-                    f"presets are {sorted(BASE_ARCHITECTURES)}"
-                ) from None
-        layers = tuple(self.base_arch)
-        if not layers or not all(isinstance(l, LayerSpec) for l in layers):
-            raise ConfigError("base_arch must be a preset name or a sequence of LayerSpec")
-        return layers
-
-    def _check_base(self):
-        """The base stack must reduce by exactly BASE_STRIDE so the anchor
-        maps come out at the documented lengths."""
-        length = self.window_length
-        for layer in self.base_layers():
-            length = -(-length // layer.stride)
-        achieved = [-(-length // 2 ** (i + 1)) for i in range(len(MAP_STRIDES))]
-        wanted = [self.window_length // s for s in MAP_STRIDES]
-        if achieved != wanted:
-            raise ConfigError(
-                f"base stack reduces {self.window_length} to {length} "
-                f"(anchor maps {achieved}), expected maps {wanted}; "
-                f"the composed base stride must be {BASE_STRIDE}"
-            )
+        return BASE_ARCHITECTURES[self.base_arch]
 
     @property
     def head_width(self) -> int:
@@ -173,69 +140,32 @@ class NetworkConfig:
         return tuple(self.window_length // s for s in MAP_STRIDES)
 
     def to_dict(self):
-        arch = self.base_arch
-        if not isinstance(arch, str):
-            arch = [
-                {"kind": l.kind, "kernel": l.kernel, "stride": l.stride, "filters": l.filters}
-                for l in self.base_layers()
-            ]
-        return {
-            "feature_dim": self.feature_dim,
-            "num_classes": self.num_classes,
-            "window_length": self.window_length,
-            "base_arch": arch,
-            "base_filters": self.base_filters,
-            "anchor_filters": self.anchor_filters,
-            "anchor_kernel": self.anchor_kernel,
-            "pred_kernel": self.pred_kernel,
-            "ratios": [list(r) for r in self.ratios],
-            "center_scale": self.center_scale,
-            "width_scale": self.width_scale,
-            "delta_clamp": self.delta_clamp,
-        }
+        """The fields, plus the fixed values, which every checkpoint records."""
+        return {**asdict(self), **_FIXED}
 
     @classmethod
     def from_dict(cls, doc):
-        doc = _json_fields(cls, doc, "network config")
-        arch = doc.get("base_arch", "B")
-        if not isinstance(arch, str):
-            if not isinstance(arch, list):
-                raise DataError("network config base_arch must be a preset name or a list")
-            doc["base_arch"] = tuple(LayerSpec(**_json_fields(LayerSpec, l, f"base_arch[{i}]"))
-                                     for i, l in enumerate(arch))
-        if "ratios" in doc:
-            if not isinstance(doc["ratios"], list) or not all(
-                    isinstance(r, list) for r in doc["ratios"]):
-                raise DataError("network config ratios must be a list of lists")
-            doc["ratios"] = tuple(tuple(_number(x, "network config ratio", False) for x in r)
-                                  for r in doc["ratios"])
-        return cls(**doc)
-
-
-def _json_fields(cls, doc, what):
-    """A copy of the JSON object ``doc`` once its keys are fields of the
-    dataclass ``cls``, every field without a default is present, and every
-    int/float field holds a number of that kind; DataError otherwise."""
-    if not isinstance(doc, dict):
-        raise DataError(f"{what} must be an object")
-    unknown = set(doc) - {f.name for f in fields(cls)}
-    if unknown:
-        raise DataError(f"{what} has unknown keys {sorted(unknown)}")
-    for f in fields(cls):  # f.type is the annotation's text (postponed annotations)
-        if f.name not in doc and f.default is MISSING:
-            raise DataError(f"{what} is missing {f.name!r}")
-        if f.name in doc and f.type in ("int", "float") and not (doc[f.name] is f.default is None):
-            _number(doc[f.name], f"{what} {f.name!r}", f.type == "int")
-    return dict(doc)
-
-
-def _number(value, what, integer):
-    """``value`` if it is a finite JSON number, and an integer when
-    ``integer``; DataError otherwise (booleans are not numbers)."""
-    if _finite(value) is None or (integer and not isinstance(value, int)):
-        raise DataError(f"{what} must be {'an integer' if integer else 'a finite number'}, "
-                        f"got {value!r}")
-    return value
+        """The config of a ``to_dict`` JSON object. A fixed value may be
+        absent; if present, its JSON text must be the constant's. Every
+        other key must be a field, every field without a default present
+        and every integer field an integer. DataError otherwise."""
+        if not isinstance(doc, dict):
+            raise DataError("network config must be an object")
+        names = {f.name for f in fields(cls)}
+        unknown = set(doc) - names - set(_FIXED)
+        if unknown:
+            raise DataError(f"network config has unknown keys {sorted(unknown)}")
+        for key, value in _FIXED.items():
+            if key in doc and json.dumps(doc[key]) != json.dumps(value):
+                raise DataError(f"network config {key!r} must be at its fixed value "
+                                f"{json.dumps(value)}, got {doc[key]!r}")
+        for f in fields(cls):  # f.type is the annotation's text (postponed annotations)
+            if f.name not in doc and f.default is MISSING:
+                raise DataError(f"network config is missing {f.name!r}")
+            if f.type == "int" and f.name in doc and type(doc[f.name]) is not int:
+                raise DataError(f"network config {f.name!r} must be an integer, "
+                                f"got {doc[f.name]!r}")
+        return cls(**{key: value for key, value in doc.items() if key in names})
 
 
 def anchor_grid(map_length, ratios, layer=0):
@@ -271,15 +201,14 @@ def _layout(config):
     of its anchor convolution and of its prediction convolution."""
     layout, channels = [], config.feature_dim
     for i, layer in enumerate(l for l in config.base_layers() if l.kind == "conv"):
-        filters = layer.filters or config.base_filters
-        layout += [(f"base.{i}.kernel", (layer.kernel, channels, filters)),
-                   (f"base.{i}.bias", (filters,))]
-        channels = filters
-    for f, ratios in enumerate(config.ratios):
+        layout += [(f"base.{i}.kernel", (layer.kernel, channels, config.base_filters)),
+                   (f"base.{i}.bias", (config.base_filters,))]
+        channels = config.base_filters
+    for f, ratios in enumerate(RATIOS):
         width = len(ratios) * (config.head_width + 3)
-        layout += [(f"anchor.{f}.kernel", (config.anchor_kernel, channels, config.anchor_filters)),
+        layout += [(f"anchor.{f}.kernel", (ANCHOR_KERNEL, channels, config.anchor_filters)),
                    (f"anchor.{f}.bias", (config.anchor_filters,)),
-                   (f"pred.{f}.kernel", (config.pred_kernel, config.anchor_filters, width)),
+                   (f"pred.{f}.kernel", (PRED_KERNEL, config.anchor_filters, width)),
                    (f"pred.{f}.bias", (width,))]
         channels = config.anchor_filters
     return layout
@@ -303,7 +232,7 @@ class Network:
         self._params = [Parameter(d, name, g) for (name, _), (d, g) in zip(layout, views)]
         self.anchors = np.concatenate([
             anchor_grid(m, ratios, layer=f)
-            for f, (m, ratios) in enumerate(zip(config.map_lengths, config.ratios))
+            for f, (m, ratios) in enumerate(zip(config.map_lengths, RATIOS))
         ]).view(np.recarray)
 
     @property
@@ -354,7 +283,7 @@ class Network:
                 x = maxpool1d(x, layer.kernel, layer.stride)
         cols = self.config.head_width + 3
         outputs = []
-        for _ in self.config.ratios:  # one head per anchor map
+        for _ in RATIOS:  # one head per anchor map
             ak, ab, pk, pb = islice(weights, 4)
             x = relu(conv1d(x, ak, ab, stride=2))
             raw = conv1d(x, pk, pb, stride=1)
@@ -373,19 +302,18 @@ class Network:
         happens only on final video-level output. A head output that is not
         finite raises NumericError, in any column.
         """
-        cfg = self.config
         outputs = self.forward(features, params)
         raw = cast(concat(outputs, axis=outputs[0].data.ndim - 2), np.float64)
         _require_finite("anchor decoding", raw.data)  # every column, offsets too
-        kp = cfg.head_width
+        kp = self.config.head_width
         logits = raw[..., :kp]
         overlap = sigmoid(raw[..., kp])
         d_center = raw[..., kp + 1]
-        d_width = clip(raw[..., kp + 2], -cfg.delta_clamp, cfg.delta_clamp)
+        d_width = clip(raw[..., kp + 2], -DELTA_CLAMP, DELTA_CLAMP)
         anchor_widths = np.broadcast_to(self.anchors.width, d_center.shape)
         anchor_centers = np.broadcast_to(self.anchors.center, d_center.shape)
-        centers = mul(d_center, cfg.center_scale * anchor_widths) + anchor_centers
-        widths = mul(exp(mul(d_width, cfg.width_scale)), anchor_widths)
+        centers = mul(d_center, CENTER_SCALE * anchor_widths) + anchor_centers
+        widths = mul(exp(mul(d_width, WIDTH_SCALE)), anchor_widths)
         return DecodedAnchors(logits, overlap, centers, widths)
 
 

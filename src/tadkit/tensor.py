@@ -370,8 +370,9 @@ class _Cast(Tensor):
     kernel gradient is freed as soon as its conv has made it.
 
     ``spectra``: this value's DFT slices as a tiled ``conv1d`` kernel, made
-    by the first such call and reused, backward too, until the node goes.
-    No op output is written in place, so they cannot go stale, as they
+    by the first such call and reused until the node goes, or until that
+    conv's input gradient has read them: a backward pass frees each as it
+    goes. No op output is written in place, so they cannot go stale, as they
     could on a ``Parameter``, which the optimizer updates in place."""
 
     __slots__ = ("spectra",)
@@ -582,9 +583,10 @@ def conv1d(x, kernel, bias, stride=1) -> Tensor:
       (``_tile_bases``): 47 slice products per 24 outputs in place of 9
       taps each at K = 9. The kernel's transform is made once per ``cast``
       (``_Cast``): a video's stacks and a minibatch's backward pass reuse
-      it. The backward pass is each GEMM transposed plus an overlap-add,
-      and it recomputes the input's transform. Its float32 error against
-      the direct sum is ~1e-7 of the output's scale, like im2col's.
+      it, and the input gradient frees it. The backward pass is each GEMM
+      transposed plus an overlap-add, and it recomputes the input's
+      transform. Its float32 error against the direct sum is ~1e-7 of the
+      output's scale, like im2col's.
     """
     x, kernel, bias = as_tensor(x), as_tensor(kernel), as_tensor(bias)
     what = "(T, C_in) or (B, T, C_in) input"
@@ -644,6 +646,8 @@ def conv1d(x, kernel, bias, stride=1) -> Tensor:
             del dspectra
         if x.requires_grad:
             dspectra = np.matmul(dproducts, _prepared_spectra(kernel).transpose(0, 2, 1))
+            if isinstance(kernel, _Cast):  # its last read: freed before earlier layers' steps
+                kernel.spectra = None
             del dproducts
             drows = (_TILE_P.T @ dspectra.reshape(len(dspectra), -1)).reshape(TILE, B, tiles, c_in)
             del dspectra

@@ -38,6 +38,7 @@ from tadkit import (
 from tadkit.cli import main
 from tadkit.gradcheck import check_gradients
 from tadkit.losses import TrainingBatch
+from tadkit.model import RATIOS
 from tadkit.training import fixed_selection_loss
 
 from oracles import brute_average_precision, brute_match, brute_nms
@@ -149,7 +150,7 @@ def test_criterion_3_anchor_arithmetic():
     expected_lengths = tuple(config.window_length // s for s in strides)
     expected_counts = tuple(
         length * len(ratios)
-        for length, ratios in zip(expected_lengths, config.ratios)
+        for length, ratios in zip(expected_lengths, RATIOS)
     )
     network = Network(config, seed=0)
     per_layer = dict(enumerate(np.bincount(network.anchors.layer).tolist()))

@@ -21,7 +21,7 @@ from tadkit.inference import (
     softmax,
 )
 from tadkit.model import Network, NetworkConfig
-from tadkit.tensor import Parameter
+from tadkit.tensor import Parameter, tmean
 from tadkit.training import TrainConfig, train
 
 from oracles import brute_nms, direct_mean_scores
@@ -533,6 +533,16 @@ class TestTiledPrediction:
         self.train_one_step()
         assert len(inputs) == 2  # forward, and the kernel gradient
         assert kernels == [(9, 64, 64)]  # forward; the input gradient reuses it
+
+    def test_backward_frees_every_kernel_transform(self):
+        windows = slide_windows(self.seq, self.ann.instances, 256, 0.75)[:16]
+        params = self.net.cast_parameters("float32")
+        decoded = self.net.decode(np.stack([w.features for w in windows]), params)
+        held = [p.name for p, c in zip(self.net.parameters, params) if c.spectra is not None]
+        assert held == ["base.1.kernel"]  # the one tiled conv of the minibatch
+        (tmean(decoded.overlap) + tmean(decoded.class_logits)).backward()
+        assert all(c.spectra is None for c in params)
+        assert self.net.parameters[2].grad.any()  # base.1's kernel got its gradient
 
     def test_tiled_candidates_match_float64(self, monkeypatch):
         inputs = self.spy(monkeypatch, "_tile_spectra")

@@ -1,4 +1,5 @@
 import json
+import math
 import struct
 import tracemalloc
 
@@ -12,7 +13,8 @@ from tadkit.gradcheck import check_gradients
 from tadkit.losses import l2_penalty
 from tadkit.model import (
     BASE_ARCHITECTURES,
-    LayerSpec,
+    MAP_STRIDES,
+    RATIOS,
     Network,
     NetworkConfig,
     anchor_grid,
@@ -32,12 +34,33 @@ def small_config(**kw):
     return NetworkConfig(**base)
 
 
-def edit_checkpoint_config(path, edit):
-    """Rewrite the JSON config of the checkpoint at ``path`` with ``edit`` applied."""
+#: the config JSON that ``save_checkpoint`` writes for ``small_config()``
+SMALL_CONFIG_JSON = (
+    '{"anchor_filters": 8, "anchor_kernel": 9, "base_arch": "B", "base_filters": 8, '
+    '"center_scale": 0.1, "delta_clamp": 50.0, "feature_dim": 6, "num_classes": 2, '
+    '"pred_kernel": 3, "ratios": [[1.0, 1.5, 2.0], [0.5, 0.75, 1.0, 1.5, 2.0], '
+    '[0.5, 0.75, 1.0, 1.5, 2.0]], "width_scale": 0.1, "window_length": 128}'
+)
+FIXED_KEYS = ("anchor_kernel", "pred_kernel", "ratios", "center_scale", "width_scale",
+              "delta_clamp")
+
+
+def checkpoint_config_text(path):
+    """The JSON config text of the checkpoint at ``path``."""
+    payload = path.read_bytes()
+    (size,) = struct.unpack_from("<I", payload, 12)
+    return payload[16:16 + size].decode()
+
+
+def edit_checkpoint_config(path, edit, drop=()):
+    """Rewrite the JSON config of the checkpoint at ``path`` with ``edit``
+    applied and the keys ``drop`` removed."""
     payload = path.read_bytes()
     (size,) = struct.unpack_from("<I", payload, 12)
     doc = json.loads(payload[16:16 + size])
     doc.update(edit)
+    for key in drop:
+        del doc[key]
     config = json.dumps(doc).encode()
     path.write_bytes(payload[:12] + struct.pack("<I", len(config)) + config
                      + payload[16 + size:])
@@ -108,27 +131,30 @@ class TestDecodeAnchor:
 
 class TestNetworkConfig:
     def test_presets_all_reduce_by_16(self):
-        for name in BASE_ARCHITECTURES:
-            NetworkConfig(feature_dim=4, num_classes=1, base_arch=name)._check_base()
-
-    def test_wrong_stride_product_reports_achieved_maps(self):
-        layers = tuple(LayerSpec("conv", 9, 2) for _ in range(3))  # product 8
-        with pytest.raises(ConfigError, match="stride must be 16"):
-            small_config(base_arch=layers)
+        for name, layers in BASE_ARCHITECTURES.items():
+            assert math.prod(layer.stride for layer in layers) == 16, name
+            for window in (128, 512):
+                length = window
+                for layer in layers:  # same padding: ceil(length / stride)
+                    length = -(-length // layer.stride)
+                maps = [-(-length // 2 ** (i + 1)) for i in range(len(MAP_STRIDES))]
+                config = NetworkConfig(feature_dim=4, num_classes=1, window_length=window,
+                                       base_arch=name)
+                assert maps == list(config.map_lengths), (name, window)
 
     def test_window_must_divide_all_maps(self):
         with pytest.raises(ConfigError, match="multiple of 128"):
             small_config(window_length=200)
 
     def test_unknown_preset(self):
-        with pytest.raises(ConfigError, match="unknown base architecture"):
-            small_config(base_arch="Z").base_layers()
+        with pytest.raises(ConfigError, match="preset name"):
+            small_config(base_arch="Z")
 
     def test_dict_round_trip_with_explicit_layers(self):
-        cfg = small_config(base_arch=BASE_ARCHITECTURES["E"])
+        cfg = small_config(base_arch="E")
         back = NetworkConfig.from_dict(cfg.to_dict())
-        assert back.base_layers() == cfg.base_layers()
-        assert back.ratios == cfg.ratios
+        assert back.base_layers() == cfg.base_layers() == BASE_ARCHITECTURES["E"]
+        assert back.to_dict()["ratios"] == cfg.to_dict()["ratios"] == RATIOS
 
     def test_unknown_config_keys_rejected(self):
         doc = small_config().to_dict()
@@ -153,7 +179,7 @@ def per_conv_cast_forward(net, features):
         else:
             x = maxpool1d(x, layer.kernel, layer.stride)
     cols, outputs = net.config.head_width + 3, []
-    for _ in net.config.ratios:
+    for _ in RATIOS:
         x = relu(conv(x, 2))
         raw = conv(x, 1)
         *lead, m, width = raw.data.shape
@@ -474,19 +500,24 @@ class TestCheckpoint:
         ({"feature_dim": 6.0}, "'feature_dim' must be an integer"),
         ({"num_classes": True}, "'num_classes' must be an integer"),
         ({"feature_dim": None}, "'feature_dim' must be an integer"),
-        ({"center_scale": "0.1"}, "'center_scale' must be a finite number"),
-        ({"delta_clamp": float("inf")}, "'delta_clamp' must be a finite number"),
-        ({"ratios": 5}, "ratios must be a list of lists"),
-        ({"ratios": [[1.0], [1.0], ["2"]]}, "ratio must be a finite number"),
-        ({"base_arch": 5}, "base_arch must be a preset name or a list"),
-        ({"base_arch": [5]}, r"base_arch\[0\] must be an object"),
-        ({"base_arch": [{"kind": "conv", "stride": 1}]}, r"base_arch\[0\] is missing 'kernel'"),
+        ({"center_scale": "0.1"}, "'center_scale' must be at its fixed value 0.1,"),
+        ({"delta_clamp": float("inf")}, "'delta_clamp' must be at its fixed value 50.0,"),
+        ({"ratios": 5}, "'ratios' must be at its fixed value"),
+        ({"ratios": [[1.0], [1.0], ["2"]]}, "'ratios' must be at its fixed value"),
+        ({"base_arch": 5}, "base_arch must be a preset name"),
+        ({"base_arch": [5]}, "base_arch must be a preset name"),
+        ({"base_arch": [{"kind": "conv", "stride": 1}]}, "base_arch must be a preset name"),
         ({"base_arch": [{"kind": "conv", "kernel": 9, "stride": 1, "size": 2}]},
-         r"base_arch\[0\] has unknown keys \['size'\]"),
+         "base_arch must be a preset name"),
         ({"base_arch": [{"kind": "conv", "kernel": "9", "stride": 1}]},
-         r"base_arch\[0\] 'kernel' must be an integer"),
+         "base_arch must be a preset name"),
         ({"feature_dim": 0}, "feature_dim must be positive"),
         ({"window_length": 200}, "multiple of 128"),
+        ({"pred_kernel": 1}, "'pred_kernel' must be at its fixed value 3,"),
+        ({"ratios": [[True, 1.5, 2.0], *RATIOS[1:]]}, "'ratios' must be at its fixed value"),
+        ({"base_arch": [{"kind": "conv", "kernel": 9, "stride": 1, "filters": None},
+                        {"kind": "pool", "kernel": 2, "stride": 2, "filters": None}] * 4},
+         "base_arch must be a preset name"),
     ])
     def test_malformed_config_is_data_error(self, tmp_path, edit, message):
         net = Network(small_config(), seed=0)
@@ -525,8 +556,30 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_custom_arch_round_trips(self, tmp_path):
-        cfg = small_config(base_arch=BASE_ARCHITECTURES["D"])
+        cfg = small_config(base_arch="D")
         net = Network(cfg, seed=0)
         path = tmp_path / "d.ckpt"
         save_checkpoint(net, path)
         assert load_checkpoint(path).config.base_layers() == cfg.base_layers()
+
+    def test_config_json_is_pinned(self, tmp_path):
+        path = tmp_path / "x.ckpt"
+        save_checkpoint(Network(small_config(), seed=0), path)
+        assert checkpoint_config_text(path) == SMALL_CONFIG_JSON
+        assert json.dumps(small_config().to_dict(), sort_keys=True) == SMALL_CONFIG_JSON
+
+    def test_config_without_the_fixed_keys_loads_the_same_network(self, tmp_path):
+        net = Network(small_config(base_arch="C"), seed=4)
+        path = tmp_path / "x.ckpt"
+        save_checkpoint(net, path)
+        edit_checkpoint_config(path, {}, drop=FIXED_KEYS)
+        assert not set(FIXED_KEYS) & set(json.loads(checkpoint_config_text(path)))
+        back = load_checkpoint(path)
+        assert back.config == net.config
+        for pa, pb in zip(net.parameters, back.parameters):
+            assert pa.name == pb.name
+            assert np.array_equal(pa.data, pb.data)
+        x = np.random.default_rng(0).uniform(size=(128, 6))
+        for field in ("class_logits", "overlap", "centers", "widths"):
+            assert np.array_equal(getattr(net.decode(x), field).data,
+                                  getattr(back.decode(x), field).data), field

@@ -62,15 +62,17 @@ TINY_SETTINGS = {
     "train.learning_rate": 0.001,
     "train.checkpoint_every": 0,
 }
-#: the CLI settings whose outputs are compared bit for bit: the tiny ones, and
+#: the CLI settings whose outputs are compared bit for bit: the tiny ones;
 #: the same with 64 base filters over windows of 256, test videos of 17
 #: windows and minibatches of 16, so that base.1 tiles in training and in a
-#: full prediction stack
+#: full prediction stack; and the tiny ones on preset C, a base stack other
+#: than the default written to and read from the checkpoint
 BITS_SETTINGS = {
     "tiny": TINY_SETTINGS,
     "tiled": {**TINY_SETTINGS, "net.base_filters": 64, "net.window_length": 256,
               "synth.min_video_length": 3200, "synth.max_video_length": 3200,
               "train.batch_size": 16},
+    "arch_c": {**TINY_SETTINGS, "net.base_arch": "C"},
 }
 BITS_FILES = ("model.ckpt", "predictions.json")
 
