@@ -26,7 +26,7 @@ from .evaluation import EvalReport, average_precision, evaluate
 from .gradcheck import GradCheckResult, check_gradients
 from .inference import (
     FusionConfig,
-    block_alignment,
+    block_sums,
     fuse_scores,
     mean_snippet_scores,
     nms,

@@ -18,6 +18,8 @@ import numpy as np
 from .errors import ConfigError, DataError, UsageError
 from .tensor import DTYPE
 
+RETENTION = 0.75  # share of an instance's span a window must hold to keep it
+
 
 @dataclass(frozen=True)
 class ActionInstance:
@@ -95,14 +97,6 @@ class ScoreSequence:
     def dim(self) -> int:
         return self.matrix.shape[1]
 
-    def block_offsets(self):
-        offsets = []
-        pos = 0
-        for b in self.blocks:
-            offsets.append(pos)
-            pos += b.width
-        return offsets
-
 
 @dataclass
 class Window:
@@ -130,6 +124,12 @@ class Detection:
     confidence: float
 
 
+def rank_order(confidence, starts):
+    """Indices that visit detections by descending confidence, then earlier
+    start, then input order (the sort is stable)."""
+    return np.lexsort((np.asarray(starts, dtype=float), -np.asarray(confidence, dtype=float)))
+
+
 @dataclass
 class AnnotationSet:
     """All annotations for a split plus the shared category name list."""
@@ -145,14 +145,14 @@ class AnnotationSet:
         return {v.video_id: v for v in self.videos}
 
 
-def retained_targets(instances, window_start, window_end, retention=0.75):
-    """Instances with at least ``retention`` of their span inside the window,
+def retained_targets(instances, window_start, window_end):
+    """Instances with at least RETENTION of their span inside the window,
     clipped to it and normalized to [0, 1]."""
     length = window_end - window_start
     kept = []
     for inst in instances:
         overlap = min(inst.end, window_end) - max(inst.start, window_start)
-        if overlap >= retention * inst.length and overlap > 0:
+        if overlap >= RETENTION * inst.length and overlap > 0:
             s = (max(inst.start, window_start) - window_start) / length
             e = (min(inst.end, window_end) - window_start) / length
             kept.append(ActionInstance(s, e, inst.category))
@@ -165,7 +165,6 @@ def slide_windows(
     window_length: int = 512,
     overlap_fraction: float = 0.75,
     keep_empty: bool = False,
-    retention: float = 0.75,
 ):
     """Cut a score sequence into fixed-length windows.
 
@@ -191,7 +190,7 @@ def slide_windows(
         starts = [0]
         windows = [
             Window(seq.video_id, 0, window_length, features,
-                   retained_targets(instances, 0, window_length, retention))
+                   retained_targets(instances, 0, window_length))
         ]
     else:
         starts = list(range(0, t_v - window_length + 1, stride))
@@ -200,7 +199,7 @@ def slide_windows(
         windows = [
             Window(seq.video_id, s, s + window_length,
                    seq.matrix[s:s + window_length],
-                   retained_targets(instances, s, s + window_length, retention))
+                   retained_targets(instances, s, s + window_length))
             for s in starts
         ]
     if not keep_empty:

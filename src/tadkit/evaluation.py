@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import rank_order
 from .errors import ConfigError, DataError
 from .matching import segment_iou_matrix
 
@@ -28,10 +29,7 @@ def _check_threshold(threshold):
 
 def _match(predictions, ground_truths, threshold):
     """Greedy matching; returns a TP flag per prediction in rank order."""
-    order = sorted(
-        range(len(predictions)),
-        key=lambda i: (-predictions[i].confidence, predictions[i].start, i),
-    )
+    order = rank_order([p.confidence for p in predictions], [p.start for p in predictions])
     by_video = {}
     for video_id, start, end in ground_truths:
         by_video.setdefault(video_id, []).append((start, end))
@@ -102,12 +100,6 @@ class EvalReport:
     num_predictions: int
     num_ground_truth: int
     category_names: list
-
-    def mean_ap(self, threshold) -> float:
-        for r in self.results:
-            if abs(r.threshold - threshold) < 1e-9:
-                return r.mean_ap
-        raise ConfigError(f"no result at threshold {threshold}")
 
     def to_dict(self):
         return {

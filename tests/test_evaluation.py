@@ -118,8 +118,7 @@ class TestEvaluate:
     def test_perfect_predictions_reach_map_one(self):
         report = evaluate(self.perfect_predictions(), self.annotation_set(),
                           thresholds=(0.5, 0.1))
-        assert report.mean_ap(0.5) == 1.0
-        assert report.mean_ap(0.1) == 1.0
+        assert [(r.threshold, r.mean_ap) for r in report.results] == [(0.5, 1.0), (0.1, 1.0)]
 
     def test_report_counts_and_names(self):
         report = evaluate(self.perfect_predictions(), self.annotation_set(), (0.5,))
@@ -134,7 +133,7 @@ class TestEvaluate:
         anns = AnnotationSet(videos, ["a", "b"])  # category 2 has no ground truth
         preds = [det("v", 0.0, 50.0, 0.9, cat=1), det("v", 60.0, 90.0, 0.9, cat=2)]
         report = evaluate(preds, anns, (0.5,))
-        assert report.mean_ap(0.5) == 1.0
+        assert report.results[0].mean_ap == 1.0
         assert [c.name for c in report.results[0].categories] == ["a"]
 
     def test_unknown_category_named_in_error(self):

@@ -13,7 +13,7 @@ from tadkit.inference import (
     DECODE_STACK,
     PREDICTION_OVERLAP,
     FusionConfig,
-    block_alignment,
+    block_sums,
     fuse_scores,
     mean_snippet_scores,
     nms,
@@ -31,16 +31,22 @@ def make_seq(matrix, blocks, video_id="v"):
     return ScoreSequence(video_id, np.asarray(matrix, dtype=float), blocks)
 
 
-class TestBlockAlignment:
-    def test_unnamed_block_of_matching_width_is_identity(self):
-        seq = make_seq(np.zeros((4, 3)), [ScoreBlock("b", 3)])
-        (cols,) = block_alignment(seq, ["x", "y"])
-        assert list(cols) == [0, 1, 2]
+class TestBlockSums:
+    def test_one_block_of_matching_width_sums_to_itself(self):
+        matrix = np.random.default_rng(2).uniform(size=(4, 3))
+        seq = make_seq(matrix, [ScoreBlock("b", 3)])
+        assert np.array_equal(block_sums(seq, ["x", "y"]), matrix)
 
-    def test_unnamed_block_of_wrong_width_rejected(self):
+    def test_blocks_add_by_position_left_to_right(self):
+        matrix = np.random.default_rng(3).uniform(size=(50, 12))
+        seq = make_seq(matrix, [ScoreBlock(name, 4) for name in "pqr"])
+        want = (matrix[:, 0:4] + matrix[:, 4:8]) + matrix[:, 8:12]
+        assert np.array_equal(block_sums(seq, ["x", "y", "z"]), want)
+
+    def test_block_of_wrong_width_rejected(self):
         seq = make_seq(np.zeros((4, 5)), [ScoreBlock("b", 5)])
-        with pytest.raises(DataError, match="cannot align"):
-            block_alignment(seq, ["x", "y"])
+        with pytest.raises(DataError, match="block 'b' has width 5, cannot align"):
+            block_sums(seq, ["x", "y"])
 
 
 class TestSoftmax:
@@ -96,7 +102,7 @@ class TestMeanSnippetScores:
         widths = [k1, k1]
         matrix = rng.uniform(size=(40, sum(widths)))
         seq = make_seq(matrix, [ScoreBlock("x", k1), ScoreBlock("y", k1)])
-        alignment = block_alignment(seq, ["a", "b", "c"])
+        alignment = [np.arange(k1)] * len(seq.blocks)
         starts = rng.uniform(0, 35, 20)
         ends = starts + rng.uniform(0.5, 5, 20)
         got = mean_snippet_scores(seq, starts, ends, ["a", "b", "c"])
@@ -110,7 +116,7 @@ class TestMeanSnippetScores:
                           min_instances=40, max_instances=80, noise_sigma=0.2)
         (seq,), _ = synth_generate(cfg, 3)
         assert seq.num_snippets == 20000 and len(seq.blocks) == 3
-        alignment = block_alignment(seq, cfg.category_names)
+        alignment = [np.arange(cfg.head_width)] * len(seq.blocks)
         rng = np.random.default_rng(9)
         starts = rng.uniform(0, 19990, 200)
         ends = np.minimum(starts + rng.uniform(0.5, 400, 200), 20000)
@@ -278,7 +284,7 @@ class TestPredictVideo:
         the counts of candidates that reached NMS and of rows dropped."""
         t_v = seq.num_snippets
         t_w = self.net.config.window_length
-        alignment = block_alignment(seq, self.categories)
+        alignment = [np.arange(3)] * len(seq.blocks)
         widths = [b.width for b in seq.blocks]
         candidates, dropped = [], 0
         for window in slide_windows(seq, None, t_w, PREDICTION_OVERLAP, keep_empty=True):
@@ -346,6 +352,20 @@ class TestPredictVideo:
         seq = make_seq(np.zeros((200, 4)), [ScoreBlock("b", 4)], video_id="w")
         with pytest.raises(UsageError, match="dim"):
             predict_video(seq, self.net, self.categories, FusionConfig())
+
+    def test_block_width_is_checked_before_any_decode(self, monkeypatch):
+        # the network's 6 columns as one block, not two blocks of K+1 = 3
+        seq = make_seq(self.seq.matrix, [ScoreBlock("ab", 6)])
+        decodes, decode = [], self.net.decode
+
+        def spy_decode(*args):
+            decodes.append(args)
+            return decode(*args)
+
+        monkeypatch.setattr(self.net, "decode", spy_decode)
+        with pytest.raises(DataError, match="block 'ab' has width 6, cannot align"):
+            predict_video(seq, self.net, self.categories, FusionConfig())
+        assert decodes == []
 
 
 def per_window_candidates(seq, net, windows, categories, config):

@@ -65,14 +65,17 @@ TINY_SETTINGS = {
 #: the CLI settings whose outputs are compared bit for bit: the tiny ones;
 #: the same with 64 base filters over windows of 256, test videos of 17
 #: windows and minibatches of 16, so that base.1 tiles in training and in a
-#: full prediction stack; and the tiny ones on preset C, a base stack other
-#: than the default written to and read from the checkpoint
+#: full prediction stack; the tiny ones on preset C, a base stack other
+#: than the default written to and read from the checkpoint; and the tiny
+#: ones with the CLI's three score blocks, where the order in which the
+#: blocks are summed could change the bytes (with two it cannot)
 BITS_SETTINGS = {
     "tiny": TINY_SETTINGS,
     "tiled": {**TINY_SETTINGS, "net.base_filters": 64, "net.window_length": 256,
               "synth.min_video_length": 3200, "synth.max_video_length": 3200,
               "train.batch_size": 16},
     "arch_c": {**TINY_SETTINGS, "net.base_arch": "C"},
+    "three_blocks": {**TINY_SETTINGS, "synth.block_names": "rgb,flow,vol"},
 }
 BITS_FILES = ("model.ckpt", "predictions.json")
 
