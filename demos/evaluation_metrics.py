@@ -38,10 +38,5 @@ predictions = [
     Detection("vid", 61.0, 89.0, 1, 0.7),    # true positive
 ]
 for threshold in (0.5, 0.9, 0.99):
-    ap = average_precision(predictions, ground_truth, threshold, "allpoint")
+    ap = average_precision(predictions, ground_truth, threshold)
     print(f"AP at IoU {threshold:0.2f}: {ap:.4f}")
-
-# The 11-point variant averages the peak precision at 11 recall levels;
-# it smooths the same curve, so values are close but not identical.
-ap11 = average_precision(predictions, ground_truth, 0.5, "11point")
-print(f"AP at IoU 0.50, 11-point interpolation: {ap11:.4f}")

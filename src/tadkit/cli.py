@@ -1,9 +1,13 @@
 """Command-line pipeline: synth -> train -> predict -> eval, plus gradcheck.
 
-Configuration comes from built-in defaults, overridden by a JSON file of
-flat dotted keys (--config), overridden again by explicit flags. Exit
-codes: 1 for configuration/usage problems, 2 for malformed data files,
-3 for numerical failures, 0 otherwise.
+Configuration comes from built-in defaults (``DEFAULTS``), overridden by a
+JSON file of flat dotted keys (--config), overridden again by explicit
+flags. Every value must have its default's type, and a float must be
+finite. The recipe's fixed values are constants, not settings: the loss
+weights (``losses.LossWeights``), Adam's decay rates and epsilon
+(``optim``), the divergence limit (``training.DIVERGENCE_LIMIT``) and
+all-point AP. Exit codes: 1 for configuration/usage problems, 2 for
+malformed data files, 3 for numerical failures, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -30,8 +34,7 @@ from .io import (
     save_predictions,
     save_sas_features,
 )
-from .losses import LossWeights
-from .model import BASE_ARCHITECTURES, Network, NetworkConfig, load_checkpoint
+from .model import Network, NetworkConfig, load_checkpoint
 from .training import TrainConfig, fixed_selection_loss, train
 
 DEFAULTS = {
@@ -56,32 +59,32 @@ DEFAULTS = {
     "train.learning_rate": 1e-4,
     "train.batch_size": 16,
     "train.checkpoint_every": 10,
-    "train.weight_overlap": 10.0,
-    "train.weight_location": 10.0,
-    "train.weight_l2": 1e-4,
-    "train.divergence_limit": 1e6,
     "fusion.components": "class,sas,over",
     "fusion.nms_threshold": 0.1,
-    "fusion.suppress_background": False,
     "eval.thresholds": "0.1:0.5:0.1",
-    "eval.interpolation": "allpoint",
     "gradcheck.tolerance": 1e-6,
 }
+#: the most IoU thresholds one eval takes; its table prints one column each
+MAX_THRESHOLDS = 100
 
 
 def _check_setting_type(key, value):
     """The defaults table doubles as the type schema. Returns ``value``,
-    as a float where the default is one."""
+    as a float where the default is one; NaN and infinities are rejected."""
     kind = type(DEFAULTS[key])
     if (isinstance(value, bool) != (kind is bool)
-            or not isinstance(value, (int, float) if kind is float else kind)):
-        raise ConfigError(f"setting {key!r} must be a {kind.__name__}, got {value!r}")
+            or not isinstance(value, (int, float) if kind is float else kind)
+            # false for NaN, the infinities and an int beyond float's range
+            or kind is float and not abs(value) <= sys.float_info.max):
+        wanted = "finite float" if kind is float else kind.__name__
+        raise ConfigError(f"setting {key!r} must be a {wanted}, got {value!r}")
     return float(value) if kind is float else value
 
 
 def load_settings(config_path, overrides):
     """defaults <- config file <- command-line flags, as one dict whose
-    values have the types of the defaults (flags are typed by argparse)."""
+    values have the types of the defaults (flags are typed by argparse, and
+    checked like the file's values)."""
     values = dict(DEFAULTS)
     if config_path:
         try:
@@ -94,14 +97,14 @@ def load_settings(config_path, overrides):
         if unknown:
             raise ConfigError(f"{config_path}: unknown settings {unknown}")
         values.update((key, _check_setting_type(key, value)) for key, value in doc.items())
-    for key, value in overrides.items():
-        if value is not None:
-            values[key] = value
+    values.update((key, _check_setting_type(key, value))
+                  for key, value in overrides.items() if value is not None)
     return values
 
 
 def parse_thresholds(spec):
-    """Either 'start:stop:step' (inclusive) or a comma list or one value."""
+    """Either 'start:stop:step' (inclusive, at most MAX_THRESHOLDS values)
+    or a comma list or one value."""
     s = str(spec)
     try:
         if ":" in s:
@@ -112,13 +115,16 @@ def parse_thresholds(spec):
             if step <= 0 or start > stop:
                 raise ConfigError(f"bad threshold range {spec!r}")
             count = int(round((stop - start) / step)) + 1
+            if count > MAX_THRESHOLDS:
+                raise ConfigError(f"threshold range {spec!r} gives {count} values, "
+                                  f"more than {MAX_THRESHOLDS}")
             values = [round(start + i * step, 10) for i in range(count)]
             values = [v for v in values if v <= stop + 1e-9]
         elif "," in s:
             values = [float(p) for p in s.split(",")]
         else:
             values = [float(s)]
-    except ValueError:
+    except (ValueError, OverflowError):  # OverflowError: a range of infinitely many steps
         raise ConfigError(f"cannot parse thresholds {spec!r}") from None
     for v in values:
         if not (0 < v <= 1):
@@ -126,7 +132,7 @@ def parse_thresholds(spec):
     return sorted(set(values))
 
 
-def parse_fusion(spec, nms_threshold, suppress_background):
+def parse_fusion(spec, nms_threshold):
     tokens = [t.strip() for t in str(spec).split(",") if t.strip()]
     unknown = sorted(set(tokens) - {"class", "sas", "over"})
     if unknown:
@@ -136,7 +142,6 @@ def parse_fusion(spec, nms_threshold, suppress_background):
         use_sas="sas" in tokens,
         use_over="over" in tokens,
         nms_threshold=nms_threshold,
-        suppress_background=suppress_background,
     )
 
 
@@ -242,11 +247,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    settings = load_settings(args.config, {
-        "seed": args.seed,
-        "train.epochs": args.epochs,
-        "net.base_arch": args.arch,
-    })
+    settings = load_settings(args.config, {"seed": args.seed})
     manifest, annotations, sequences = _load_split(args.data, "train")
     window_length = settings["net.window_length"]
     by_id = annotations.by_id()
@@ -266,13 +267,7 @@ def cmd_train(args) -> int:
         learning_rate=settings["train.learning_rate"],
         batch_size=settings["train.batch_size"],
         seed=settings["seed"],
-        weights=LossWeights(
-            overlap=settings["train.weight_overlap"],
-            location=settings["train.weight_location"],
-            l2=settings["train.weight_l2"],
-        ),
         checkpoint_every=settings["train.checkpoint_every"],
-        divergence_limit=settings["train.divergence_limit"],
     )
     print(f"{len(windows)} training windows, {network.num_parameters} parameters")
     result = train(
@@ -291,11 +286,7 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     settings = load_settings(args.config, {"fusion.components": args.fusion})
-    fusion = parse_fusion(
-        settings["fusion.components"],
-        settings["fusion.nms_threshold"],
-        settings["fusion.suppress_background"],
-    )
+    fusion = parse_fusion(settings["fusion.components"], settings["fusion.nms_threshold"])
     network = load_checkpoint(args.checkpoint)
     manifest, _, sequences = _load_split(args.data, args.split)
     detections = []
@@ -308,15 +299,11 @@ def cmd_predict(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    settings = load_settings(args.config, {
-        "eval.thresholds": args.thresholds,
-        "eval.interpolation": args.interpolation,
-    })
+    settings = load_settings(args.config, {"eval.thresholds": args.thresholds})
     thresholds = parse_thresholds(settings["eval.thresholds"])
-    interpolation = settings["eval.interpolation"]
     predictions = load_predictions(args.predictions)
     annotations = load_annotations(args.annotations)
-    report = evaluate(predictions, annotations, thresholds, interpolation)
+    report = evaluate(predictions, annotations, thresholds)
     if args.out:
         atomic_write_text(args.out, report.to_json())
     print(report.to_table(label=args.label), end="")
@@ -377,9 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="dataset directory (from synth)")
     p.add_argument("--out", required=True, help="directory for checkpoints and logs")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--arch", choices=sorted(BASE_ARCHITECTURES), default=None,
-                   help="base architecture preset")
     p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_train)
 
@@ -396,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--predictions", required=True)
     p.add_argument("--annotations", required=True)
     p.add_argument("--thresholds", default=None, help="start:stop:step or comma list")
-    p.add_argument("--interpolation", choices=("allpoint", "11point"), default=None)
     p.add_argument("--out", default=None, help="JSON report path")
     p.add_argument("--label", default="run", help="row label for the printed table")
     p.add_argument("--config", default=None)

@@ -3,9 +3,9 @@
 Predictions are visited in descending confidence; each one matches the
 unmatched same-video ground truth of highest IoU when that IoU reaches
 the threshold, otherwise it counts as a false positive. AP integrates
-the precision envelope over recall (all-point interpolation) or averages
-precision at the eleven canonical recall points. mAP averages AP over
-the categories present in the ground truth.
+the precision envelope over recall (all-point interpolation, the one
+definition). mAP averages AP over the categories present in the ground
+truth.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ import numpy as np
 from .data import rank_order
 from .errors import ConfigError, DataError
 from .matching import segment_iou_matrix
-
-INTERPOLATIONS = ("allpoint", "11point")
 
 
 def _check_threshold(threshold):
@@ -50,25 +48,16 @@ def _match(predictions, ground_truths, threshold):
     return flags
 
 
-def average_precision(predictions, ground_truths, threshold, interpolation="allpoint"):
-    """AP for one category. ``ground_truths`` are (video_id, start, end)
-    triples. Returns 0.0 when either side is empty."""
+def average_precision(predictions, ground_truths, threshold):
+    """All-point AP for one category. ``ground_truths`` are (video_id, start,
+    end) triples. Returns 0.0 when either side is empty."""
     _check_threshold(threshold)
-    if interpolation not in INTERPOLATIONS:
-        raise ConfigError(f"interpolation must be one of {INTERPOLATIONS}")
     if not ground_truths or not predictions:
         return 0.0
     flags = _match(predictions, ground_truths, threshold)
     tp = np.cumsum(flags)
     precision = tp / np.arange(1, len(flags) + 1)
     recall = tp / len(ground_truths)
-
-    if interpolation == "11point":
-        return float(np.mean([
-            precision[recall >= r].max() if np.any(recall >= r) else 0.0
-            for r in np.linspace(0.0, 1.0, 11)
-        ]))
-
     mrec = np.concatenate([[0.0], recall, [1.0]])
     mpre = np.concatenate([[0.0], precision, [0.0]])
     mpre = np.maximum.accumulate(mpre[::-1])[::-1]
@@ -94,16 +83,14 @@ class ThresholdEval:
 
 @dataclass
 class EvalReport:
-    interpolation: str
     thresholds: list
     results: list
     num_predictions: int
     num_ground_truth: int
-    category_names: list
 
     def to_dict(self):
         return {
-            "interpolation": self.interpolation,
+            "interpolation": "allpoint",
             "thresholds": list(self.thresholds),
             "num_predictions": self.num_predictions,
             "num_ground_truth": self.num_ground_truth,
@@ -138,7 +125,7 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
-def evaluate(predictions, annotations, thresholds=(0.5,), interpolation="allpoint"):
+def evaluate(predictions, annotations, thresholds=(0.5,)):
     """Score a prediction list against an annotation set at each threshold."""
     if not thresholds:
         raise ConfigError("need at least one IoU threshold")
@@ -170,17 +157,15 @@ def evaluate(predictions, annotations, thresholds=(0.5,), interpolation="allpoin
         for cat in present:
             preds = preds_by_cat.get(cat, [])
             gts = gts_by_cat[cat]
-            ap = average_precision(preds, gts, threshold, interpolation)
+            ap = average_precision(preds, gts, threshold)
             per_cat.append(
                 CategoryEval(cat, annotations.categories[cat - 1], ap, len(preds), len(gts))
             )
         mean_ap = float(np.mean([c.ap for c in per_cat])) if per_cat else 0.0
         results.append(ThresholdEval(float(threshold), mean_ap, per_cat))
     return EvalReport(
-        interpolation,
         [float(t) for t in thresholds],
         results,
         len(predictions),
         sum(len(g) for g in gts_by_cat.values()),
-        list(annotations.categories),
     )

@@ -49,7 +49,6 @@ class FusionConfig:
     use_sas: bool = True     # mean snippet scores over the candidate span
     use_over: bool = True    # gate by predicted overlap
     nms_threshold: float = 0.1
-    suppress_background: bool = False
 
     def __post_init__(self):
         if not (self.use_class or self.use_sas):
@@ -229,11 +228,7 @@ def predict_video(seq: ScoreSequence, network: Network, categories, config: Fusi
     overlap = np.concatenate(overlap).ravel()[live]
 
     mean_scores = mean_snippet_scores(seq, starts, ends, categories)
-    fused, category, confidence = fuse_scores(probs, overlap, mean_scores, config)
-    if config.suppress_background:
-        live = np.argmax(fused, axis=1) != 0
-        starts, ends, category, confidence = (
-            starts[live], ends[live], category[live], confidence[live])
+    _, category, confidence = fuse_scores(probs, overlap, mean_scores, config)
     candidates = [
         Detection(seq.video_id, s, e, c, f)
         for s, e, c, f in zip(starts.tolist(), ends.tolist(),

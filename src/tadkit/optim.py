@@ -39,22 +39,26 @@ def xavier_init(shape, seed, out=None) -> np.ndarray:
 
 #: elements per block of ``Adam.step``: a block's six 256 KB rows stay in cache
 BLOCK = 32768
+#: Kingma & Ba's defaults: the moment decay rates, and the term added to the root
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
 
 
 class Adam:
-    """Adam with bias correction (Kingma & Ba); deterministic given identical
-    inputs. ``step`` is one in-place pass, in blocks of ``BLOCK``, over flat
-    parameter, gradient and moment vectors, in the per-parameter textbook
-    update's operation order and bit-identical to it. ``params`` must be every
-    parameter of one flat layout, as a ``Network`` holds them
-    (``tensor.flat_parameters``); others raise UsageError."""
+    """Adam with bias correction (Kingma & Ba) at ``BETA1``, ``BETA2`` and
+    ``EPSILON``; deterministic given identical inputs. ``step`` is one
+    in-place pass, in blocks of ``BLOCK``, over flat parameter, gradient and
+    moment vectors, in the per-parameter textbook update's operation order
+    and bit-identical to it. ``params`` must be every parameter of one flat
+    layout, as a ``Network`` holds them (``tensor.flat_parameters``); others
+    raise UsageError."""
 
-    def __init__(self, params, learning_rate, beta1=0.9, beta2=0.999, epsilon=1e-8):
+    def __init__(self, params, learning_rate):
         self.params = list(params)
         names = [p.name for p in self.params]
         if len(set(names)) != len(names):
             raise ConfigError("parameter names must be unique")
-        self.beta1, self.beta2, self.epsilon = beta1, beta2, epsilon
         self.learning_rate, self.step_count = learning_rate, 0
         self.data, self.grad = flat_parameters(self.params)
         self.moments = np.zeros((2, self.data.size), dtype=DTYPE)  # first, second
@@ -66,21 +70,21 @@ class Adam:
             if p.grad is not p._grad_view:  # assigned rather than accumulated
                 p._grad_view[...] = p.grad
         self.step_count += 1
-        bc1 = 1.0 - self.beta1 ** self.step_count
-        bc2 = 1.0 - self.beta2 ** self.step_count
+        bc1 = 1.0 - BETA1 ** self.step_count
+        bc2 = 1.0 - BETA2 ** self.step_count
         scratch = np.empty((2, BLOCK), dtype=DTYPE)
         for lo in range(0, self.data.size, BLOCK):
             p, g, m, v = (x[lo:lo + BLOCK] for x in (self.data, self.grad, *self.moments))
             a, b = scratch[:, :p.size]
             # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
-            m *= self.beta1
-            m += np.multiply(g, 1.0 - self.beta1, out=a)
-            v *= self.beta2
-            v += np.multiply(np.multiply(g, g, out=a), 1.0 - self.beta2, out=a)
+            m *= BETA1
+            m += np.multiply(g, 1.0 - BETA1, out=a)
+            v *= BETA2
+            v += np.multiply(np.multiply(g, g, out=a), 1.0 - BETA2, out=a)
             # p -= lr (m / bc1) / (sqrt(v / bc2) + eps)
             np.multiply(np.divide(m, bc1, out=a), self.learning_rate, out=a)
             np.sqrt(np.divide(v, bc2, out=b), out=b)
-            b += self.epsilon
+            b += EPSILON
             p -= np.divide(a, b, out=a)
 
     def zero_grad(self):

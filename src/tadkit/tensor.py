@@ -299,16 +299,6 @@ def smooth_l1(a) -> Tensor:
                   backward_fn=backward_fn)
 
 
-def tsum(a) -> Tensor:
-    a = as_tensor(a)
-
-    def backward_fn(g):
-        if a.requires_grad:
-            a._accumulate(np.full(a.data.shape, float(g), dtype=a.data.dtype))
-
-    return Tensor(a.data.sum(), parents=(a,), backward_fn=backward_fn)
-
-
 def tmean(a) -> Tensor:
     a = as_tensor(a)
     n = a.data.size

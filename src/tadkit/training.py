@@ -10,14 +10,20 @@ once per minibatch since every step changes them; the losses, the
 gradient vector, the Adam moments and the checkpoints are float64. Given
 the same windows, seed and config, two runs produce bit-identical
 checkpoints.
+
+The recipe's fixed values are not settings: the loss is scored at the
+paper's weights (``LossWeights()``: alpha = beta = 10, lambda = 1e-4), Adam
+runs at Kingma & Ba's defaults (``optim.BETA1``, ``BETA2``, ``EPSILON``), and
+a loss above ``DIVERGENCE_LIMIT`` stops training as a divergence.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -29,6 +35,9 @@ from .model import Network, save_checkpoint
 from .optim import Adam
 from .tensor import concat, no_grad, take
 
+#: a minibatch loss above this stops training as a divergence
+DIVERGENCE_LIMIT = 1e6
+
 
 @dataclass
 class TrainConfig:
@@ -36,19 +45,17 @@ class TrainConfig:
     learning_rate: float = 1e-4
     batch_size: int = 16
     seed: int = 7
-    weights: LossWeights = field(default_factory=LossWeights)
-    checkpoint_every: int = 10
-    divergence_limit: float = 1e6
+    checkpoint_every: int = 10  # epochs between interval checkpoints; 0 writes none
 
     def __post_init__(self):
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.learning_rate < 0:
-            raise ConfigError("learning_rate must be >= 0")
-        if self.divergence_limit <= 0:
-            raise ConfigError("divergence_limit must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ConfigError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
+        if self.checkpoint_every < 0:
+            raise ConfigError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
 
 
 @dataclass
@@ -145,8 +152,8 @@ def train(windows, network: Network, config: TrainConfig, out_dir=None, log_path
 
     Writes interval checkpoints and a final ``model.ckpt`` under
     ``out_dir`` when given, and one JSON line of epoch statistics to
-    ``log_path``. On divergence (non-finite loss or loss above the
-    configured limit), a non-finite activation or a non-finite gradient,
+    ``log_path``. On divergence (non-finite loss or loss above
+    ``DIVERGENCE_LIMIT``), a non-finite activation or a non-finite gradient,
     the last good parameters are checkpointed and NumericError propagates;
     all are checked before the step, so those are the current parameters.
     NumPy warns of none of them.
@@ -198,12 +205,12 @@ def train(windows, network: Network, config: TrainConfig, out_dir=None, log_path
                         stacked = network.decode(np.stack([windows[i].features for i in chunk]),
                                                  network.cast_parameters("float32"))
                         batch = build_training_batch(stacked, matches[chunk], mine_rng)
-                        loss, parts = total_loss(batch, config.weights, network.parameters)
+                        loss, parts = total_loss(batch, LossWeights(), network.parameters)
                     except NumericError as exc:
                         abort_with_last_good(exc)
-                    if parts["total"] > config.divergence_limit:
+                    if parts["total"] > DIVERGENCE_LIMIT:
                         abort_with_last_good(NumericError(
-                            f"loss {parts['total']:.3e} above {config.divergence_limit:.3e}"))
+                            f"loss {parts['total']:.3e} above {DIVERGENCE_LIMIT:.3e}"))
                     loss.backward()
                 if not np.isfinite(adam.grad).all():
                     abort_with_last_good(NumericError("non-finite gradient"))

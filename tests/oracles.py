@@ -1,8 +1,11 @@
 """Slow, obviously-correct reference implementations used to cross-check
 the library. Everything here is nested loops and direct definitions; no
-code is shared with the package paths under test."""
+code is shared with the package paths under test. The one graph op here,
+``tsum``, is the tests' reducer for hand-built losses."""
 
 import numpy as np
+
+from tadkit.tensor import Tensor, as_tensor
 
 
 def direct_conv1d(x, kernel, bias, stride=1, padding="same"):
@@ -210,3 +213,15 @@ def numeric_gradient(f, x, h=1e-6):
         flat[i] = keep
         out[i] = (hi - lo) / (2 * h)
     return g
+
+
+def tsum(a) -> Tensor:
+    """The sum of every element, as a graph node: its gradient is ``g``
+    broadcast to the input's shape."""
+    a = as_tensor(a)
+
+    def backward_fn(g):
+        if a.requires_grad:
+            a._accumulate(np.full(a.data.shape, float(g), dtype=a.data.dtype))
+
+    return Tensor(a.data.sum(), parents=(a,), backward_fn=backward_fn)

@@ -235,7 +235,7 @@ def test_criterion_4_oracle_equivalence():
                 )
             )
         threshold = round(float(rng.uniform(0.05, 0.95)), 2)
-        got = average_precision(predictions, truths, threshold, "allpoint")
+        got = average_precision(predictions, truths, threshold)
         expect = brute_average_precision(predictions, truths, threshold)
         assert abs(got - expect) < 1e-9
 

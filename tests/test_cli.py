@@ -8,11 +8,9 @@ import warnings
 import numpy as np
 import pytest
 
-import tadkit.cli
-from tadkit.cli import main, parse_thresholds
-from tadkit.errors import DataError
+from tadkit.cli import DEFAULTS, main, parse_thresholds
+from tadkit.errors import ConfigError, DataError
 from tadkit.data import ScoreSequence
-from tadkit.inference import predict_video
 from tadkit.io import load_annotations, load_predictions, load_sas_features, save_sas_features
 from tadkit.model import Network, NetworkConfig, load_checkpoint, save_checkpoint
 
@@ -55,11 +53,15 @@ class TestThresholdParsing:
         assert parse_thresholds("0.75") == [0.75]
 
     def test_bad_specs_rejected(self):
-        from tadkit.errors import ConfigError
-
-        for spec in ("0.5:0.1:0.1", "0:0.5:0.1", "a,b", "0.1:0.5", "1.5"):
+        for spec in ("0.5:0.1:0.1", "0:0.5:0.1", "a,b", "0.1:0.5", "1.5", "0.1:inf:0.1",
+                     "0.1:1:1e-320"):
             with pytest.raises(ConfigError):
                 parse_thresholds(spec)
+
+    def test_range_is_counted_before_it_is_built(self):
+        # 1,000 valid thresholds, past MAX_THRESHOLDS
+        with pytest.raises(ConfigError, match=r"gives 1000 values, more than 100$"):
+            parse_thresholds("0.001:1:0.001")
 
 
 class TestPipeline:
@@ -314,27 +316,6 @@ def tiny_inputs(tmp_path_factory):
     return root
 
 
-def test_suppress_background_setting_reaches_fusion(tiny_inputs, tmp_path, monkeypatch):
-    configs = []
-
-    def spy_predict_video(seq, network, categories, config):
-        configs.append(config)
-        return predict_video(seq, network, categories, config)
-
-    monkeypatch.setattr(tadkit.cli, "predict_video", spy_predict_video)
-    found = {}
-    for suppress in (False, True):
-        config, out = tmp_path / f"{suppress}.json", tmp_path / f"predictions_{suppress}.json"
-        config.write_text(json.dumps({"fusion.suppress_background": suppress}))
-        assert run("predict", "--data", str(tiny_inputs / "data"), "--checkpoint",
-                   str(tiny_inputs / "model.ckpt"), "--out", str(out), "--config",
-                   str(config)) == 0
-        found[suppress] = load_predictions(out)
-    # TINY has two test videos
-    assert [c.suppress_background for c in configs] == [False, False, True, True]
-    assert len(found[True]) < len(found[False])
-
-
 def edit_checkpoint_config(edit):
     def apply(data, checkpoint):
         payload = checkpoint.read_bytes()
@@ -449,6 +430,31 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert re.match(r"error: \d{21} parameters exceed", err)
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key, value", [
+        (key, value) for key, default in DEFAULTS.items() if isinstance(default, float)
+        for value in (float("nan"), float("inf"), float("-inf"))
+    ])
+    def test_non_finite_float_setting_is_config_error(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({key: value}))  # Python's json writes and reads NaN
+        assert run("synth", "--out", str(tmp_path / "d"), "--config", str(cfg)) == 1
+        assert f"setting {key!r} must be a finite float" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf"])
+    def test_non_finite_tolerance_is_config_error(self, capsys, tolerance):
+        # a NaN or infinite tolerance would pass any gradient error
+        assert run("gradcheck", "--tolerance", tolerance) == 1
+        assert "'gradcheck.tolerance' must be a finite float" in capsys.readouterr().err
+
+    def test_negative_checkpoint_interval_is_config_error(self, tiny_inputs, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({**TINY, "train.checkpoint_every": -10}))
+        assert run("train", "--data", str(tiny_inputs / "data"), "--out",
+                   str(tmp_path / "runs"), "--config", str(cfg)) == 1
+        assert "checkpoint_every must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"

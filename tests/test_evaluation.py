@@ -31,11 +31,6 @@ class TestAveragePrecision:
         ap = average_precision(preds, gts, 0.5)
         assert_allclose(ap, 0.5 * 1.0 + 0.5 * (2 / 3))  # = 5/6
 
-    def test_11point_pinned_value(self):
-        preds, gts = self.ranked_example()
-        ap = average_precision(preds, gts, 0.5, interpolation="11point")
-        assert_allclose(ap, (6 * 1.0 + 5 * (2 / 3)) / 11)
-
     def test_perfect_predictions_give_one(self):
         gts = [("v", 0.0, 10.0), ("w", 5.0, 25.0)]
         preds = [det("v", 0.0, 10.0, 0.9), det("w", 5.0, 25.0, 0.8)]
@@ -66,10 +61,6 @@ class TestAveragePrecision:
             average_precision([], [], 0.0)
         with pytest.raises(ConfigError):
             average_precision([], [], 1.5)
-
-    def test_interpolation_validated(self):
-        with pytest.raises(ConfigError):
-            average_precision([], [], 0.5, interpolation="linear")
 
     def test_matches_brute_force_on_random_data(self):
         rng = np.random.default_rng(17)

@@ -277,16 +277,15 @@ class TestPredictVideo:
                         iou = inter / ((a.end - a.start) + (b.end - b.start) - inter)
                         assert iou <= 0.1 + 1e-12
 
-    def check_per_candidate(self, seq, config, monkeypatch):
+    def test_matches_per_candidate_recomputation(self, monkeypatch):
         """``predict_video`` against every window's anchors decoded, clipped
-        and fully fused one at a time, background-argmax rows dropped when
-        ``config.suppress_background``, then the brute-force NMS. Returns
-        the counts of candidates that reached NMS and of rows dropped."""
+        and fully fused one at a time, then the brute-force NMS."""
+        seq, config = self.seq, FusionConfig()
         t_v = seq.num_snippets
         t_w = self.net.config.window_length
         alignment = [np.arange(3)] * len(seq.blocks)
         widths = [b.width for b in seq.blocks]
-        candidates, dropped = [], 0
+        candidates = []
         for window in slide_windows(seq, None, t_w, PREDICTION_OVERLAP, keep_empty=True):
             decoded = self.net.decode(window.features, self.net.cast_parameters("float32"))
             probs = softmax(decoded.class_logits.data)
@@ -299,9 +298,6 @@ class TestPredictVideo:
                     continue
                 mean = direct_mean_scores(seq.matrix, widths, alignment, start, end, 3)
                 fused = decoded.overlap.data[i] * (probs[i] + mean)
-                if config.suppress_background and int(np.argmax(fused)) == 0:
-                    dropped += 1
-                    continue
                 category = 1 + int(np.argmax(fused[1:]))
                 candidates.append(Detection(seq.video_id, float(start), float(end),
                                             category, float(fused[category])))
@@ -327,22 +323,6 @@ class TestPredictVideo:
             assert (g.video_id, g.start, g.end, g.category) == (
                 k.video_id, k.start, k.end, k.category)
             assert_allclose(g.confidence, k.confidence, rtol=1e-12)
-        return len(candidates), dropped
-
-    def test_matches_per_candidate_recomputation(self, monkeypatch):
-        self.check_per_candidate(self.seq, FusionConfig(), monkeypatch)
-
-    def test_suppress_background_drops_background_rows_before_nms(self, monkeypatch):
-        # one short instance in a long video: many spans are mostly background
-        cfg = SynthConfig(num_videos=1, num_classes=2, block_names=("a", "b"),
-                          min_video_length=400, max_video_length=400, max_instances=1,
-                          min_instance_length=60, max_instance_length=90, noise_sigma=0.05)
-        (seq,), _ = synth_generate(cfg, 5)
-        reached, dropped = self.check_per_candidate(
-            seq, FusionConfig(suppress_background=True), monkeypatch)
-        assert reached and dropped  # both kinds of row occur
-        everything, none = self.check_per_candidate(seq, FusionConfig(), monkeypatch)
-        assert (everything, none) == (reached + dropped, 0)
 
     def test_category_count_mismatch_rejected(self):
         with pytest.raises(UsageError, match="categories"):

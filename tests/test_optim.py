@@ -6,10 +6,10 @@ from tadkit.errors import ConfigError, NumericError, UsageError
 from tadkit.gradcheck import check_gradients
 from tadkit.optim import BLOCK, Adam, xavier_init
 from tadkit.tensor import (
-    Parameter, Tensor, add, conv1d, flat_views, mul, relu, sigmoid, square, tmean, tsum,
+    Parameter, Tensor, add, conv1d, flat_views, mul, relu, sigmoid, square, tmean,
 )
 
-from oracles import scalar_adam_trace
+from oracles import scalar_adam_trace, tsum
 
 
 def flat_params(values, names):

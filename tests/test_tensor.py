@@ -32,10 +32,11 @@ from tadkit.tensor import (
     square,
     take,
     tmean,
-    tsum,
 )
 
-from oracles import direct_conv1d, direct_conv1d_grads, direct_maxpool1d, numeric_gradient
+from oracles import (
+    direct_conv1d, direct_conv1d_grads, direct_maxpool1d, numeric_gradient, tsum,
+)
 
 
 def padded_conv(x, kernel, bias, stride=1, padding="same"):

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 import tadkit.model
 import tadkit.training
 from tadkit.data import SynthConfig, shuffle_training_set, slide_windows, synth_generate
-from tadkit.errors import NumericError, UsageError
+from tadkit.errors import ConfigError, NumericError, UsageError
 from tadkit.losses import LossWeights, total_loss
 from tadkit.matching import hard_negative_mine, match_anchors
 from tadkit.model import DecodedAnchors, Network, NetworkConfig, load_checkpoint
@@ -93,7 +93,7 @@ class TestStackedMinibatch:
         decoded = [net.decode(windows[i].features) for i in order]
         matches = [match_anchors(net.anchors, windows[i].targets) for i in order]
         batch = per_window_batch(decoded, matches, np.random.default_rng(mine_seed))
-        _, parts = total_loss(batch, config.weights, net.parameters)
+        _, parts = total_loss(batch, LossWeights(), net.parameters)
 
         # train's float32 minibatch, widened to float64: the oracle checks the
         # stacking, and per-window float32 GEMMs round apart from stacked ones
@@ -155,6 +155,15 @@ class TestStackedGather:
 
 
 class TestTrainLoop:
+    @pytest.mark.parametrize("field, value", [
+        ("checkpoint_every", -10), ("learning_rate", float("nan")),
+        ("learning_rate", float("inf")), ("learning_rate", -1e-3),
+    ], ids=["checkpoint_every-neg", "learning_rate-nan", "learning_rate-inf",
+            "learning_rate-neg"])
+    def test_bad_config_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be"):
+            TrainConfig(**{field: value})
+
     def test_loss_decreases_on_overfit_task(self):
         windows = tiny_dataset()
         net = tiny_network()
@@ -184,12 +193,12 @@ class TestTrainLoop:
         for p, b in zip(net.parameters, before):
             assert np.array_equal(p.data, b)
 
-    def test_divergence_aborts_with_last_good_checkpoint(self, tmp_path):
+    def test_divergence_aborts_with_last_good_checkpoint(self, tmp_path, monkeypatch):
         windows = tiny_dataset()[:3]
         net = tiny_network(seed=2)
         initial = [p.data.copy() for p in net.parameters]
-        config = TrainConfig(epochs=3, learning_rate=1e-3, batch_size=2,
-                             divergence_limit=1e-9)
+        monkeypatch.setattr(tadkit.training, "DIVERGENCE_LIMIT", 1e-9)
+        config = TrainConfig(epochs=3, learning_rate=1e-3, batch_size=2)
         with pytest.raises(NumericError, match="diverged"):
             train(windows, net, config, out_dir=tmp_path)
         saved = load_checkpoint(tmp_path / "model.ckpt")

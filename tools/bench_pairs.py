@@ -20,10 +20,10 @@ is worse than the parent's by more than its ``bound`` in the change's
 ``BENCHMARK.json``, and prints the flagged metrics after everything else.
 All metrics compared here are lower-is-better.
 
-Before the timed runs, each side runs the CLI's synth, train and predict
-once per ``BITS_SETTINGS`` entry, and the file records the SHA-256 of the
-``model.ckpt`` and ``predictions.json`` each side wrote and, per file,
-whether the two sides' bytes are equal (``bits``).
+Before the timed runs, each side runs the CLI's synth, train, predict and
+eval once per ``BITS_SETTINGS`` entry, and the file records the SHA-256 of
+the ``model.ckpt``, ``predictions.json`` and ``report.json`` each side wrote
+and, per file, whether the two sides' bytes are equal (``bits``).
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ BITS_SETTINGS = {
     "arch_c": {**TINY_SETTINGS, "net.base_arch": "C"},
     "three_blocks": {**TINY_SETTINGS, "synth.block_names": "rgb,flow,vol"},
 }
-BITS_FILES = ("model.ckpt", "predictions.json")
+BITS_FILES = ("model.ckpt", "predictions.json", "report.json")
 
 
 def parse_seeds(spec):
@@ -198,7 +198,7 @@ def src_record(checkout):
 
 def bits_record(checkout, workdir):
     """Per ``BITS_SETTINGS`` entry, the SHA-256 of each of ``BITS_FILES``
-    from the CLI of ``checkout`` (synth, train, predict), run under
+    from the CLI of ``checkout`` (synth, train, predict, eval), run under
     ``workdir`` with one BLAS thread."""
     env = {**os.environ, "PYTHONPATH": os.path.join(checkout, "src"),
            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
@@ -214,7 +214,10 @@ def bits_record(checkout, workdir):
                      ["train", "--data", data, "--out", model],
                      ["predict", "--data", data, "--checkpoint",
                       os.path.join(model, "model.ckpt"),
-                      "--out", os.path.join(model, "predictions.json")]):
+                      "--out", os.path.join(model, "predictions.json")],
+                     ["eval", "--predictions", os.path.join(model, "predictions.json"),
+                      "--annotations", os.path.join(data, "test.json"),
+                      "--out", os.path.join(model, "report.json")]):
             subprocess.run([sys.executable, "-m", "tadkit.cli", *argv, "--config", config],
                            cwd=folder, env=env, capture_output=True, check=True)
         record[name] = {}
