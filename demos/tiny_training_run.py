@@ -22,6 +22,7 @@ from tadkit import (
     predict_video,
     slide_windows,
     synth_generate,
+    to_table,
     train,
 )
 
@@ -82,4 +83,4 @@ for det in detections[:5]:
 annotations = AnnotationSet(test_videos, categories)
 report = evaluate(detections, annotations, thresholds=(0.5, 0.3, 0.1))
 print()
-print(report.to_table("tiny run"))
+print(to_table(report, "tiny run"))

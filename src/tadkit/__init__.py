@@ -22,7 +22,7 @@ from .data import (
     synth_generate,
 )
 from .errors import ConfigError, DataError, NumericError, TadError, UsageError
-from .evaluation import EvalReport, average_precision, evaluate
+from .evaluation import average_precision, evaluate, to_table
 from .gradcheck import GradCheckResult, check_gradients
 from .inference import (
     FusionConfig,

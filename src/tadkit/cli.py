@@ -6,8 +6,10 @@ flags. Every value must have its default's type, and a float must be
 finite. The recipe's fixed values are constants, not settings: the loss
 weights (``losses.LossWeights``), Adam's decay rates and epsilon
 (``optim``), the divergence limit (``training.DIVERGENCE_LIMIT``) and
-all-point AP. Exit codes: 1 for configuration/usage problems, 2 for
-malformed data files, 3 for numerical failures, 0 otherwise.
+all-point AP. ``eval`` prints ``evaluation.to_table`` and writes the report
+that ``evaluation.evaluate`` returns as indented JSON with sorted keys.
+Exit codes: 1 for configuration/usage problems, 2 for malformed data
+files, 3 for numerical failures, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from .data import ActionInstance, AnnotationSet, SynthConfig, slide_windows, synth_generate
 from .errors import ConfigError, DataError, NumericError, UsageError
-from .evaluation import evaluate
+from .evaluation import evaluate, to_table
 from .gradcheck import check_gradients
 from .inference import FusionConfig, predict_video
 from .io import (
@@ -248,6 +250,14 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     settings = load_settings(args.config, {"seed": args.seed})
+    # a bad train.* value fails before the split is read
+    train_config = TrainConfig(
+        epochs=settings["train.epochs"],
+        learning_rate=settings["train.learning_rate"],
+        batch_size=settings["train.batch_size"],
+        seed=settings["seed"],
+        checkpoint_every=settings["train.checkpoint_every"],
+    )
     manifest, annotations, sequences = _load_split(args.data, "train")
     window_length = settings["net.window_length"]
     by_id = annotations.by_id()
@@ -262,13 +272,6 @@ def cmd_train(args) -> int:
 
     net_config = _network_config(settings, sequences[0].dim, len(manifest["categories"]))
     network = Network(net_config, seed=settings["seed"])
-    train_config = TrainConfig(
-        epochs=settings["train.epochs"],
-        learning_rate=settings["train.learning_rate"],
-        batch_size=settings["train.batch_size"],
-        seed=settings["seed"],
-        checkpoint_every=settings["train.checkpoint_every"],
-    )
     print(f"{len(windows)} training windows, {network.num_parameters} parameters")
     result = train(
         windows, network, train_config,
@@ -305,8 +308,8 @@ def cmd_eval(args) -> int:
     annotations = load_annotations(args.annotations)
     report = evaluate(predictions, annotations, thresholds)
     if args.out:
-        atomic_write_text(args.out, report.to_json())
-    print(report.to_table(label=args.label), end="")
+        atomic_write_text(args.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
+    print(to_table(report, label=args.label), end="")
     return 0
 
 

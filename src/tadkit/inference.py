@@ -116,13 +116,13 @@ def softmax(logits):
 
 
 def fuse_scores(class_scores, overlap, mean_scores, config: FusionConfig):
-    """Fuse N candidates' scores; returns ``(fused, category, confidence)``.
+    """Fuse N candidates' scores; returns ``(category, confidence)``.
 
     ``class_scores`` (N, K+1) must already be softmax-normalized;
-    ``overlap`` is (N,) and ``mean_scores`` (N, K+1). ``fused`` is
-    (N, K+1); ``category`` (N,) is the argmax over action columns only,
-    ties going to the lower category index; ``confidence`` (N,) is the
-    fused score of that category.
+    ``overlap`` is (N,) and ``mean_scores`` (N, K+1). ``category`` (N,) is
+    the argmax of the fused (N, K+1) scores over action columns only, ties
+    going to the lower category index; ``confidence`` (N,) is the fused
+    score of that category.
     """
     class_scores = np.asarray(class_scores, dtype=float)
     mean_scores = np.asarray(mean_scores, dtype=float)
@@ -138,7 +138,7 @@ def fuse_scores(class_scores, overlap, mean_scores, config: FusionConfig):
     fused = np.asarray(overlap, dtype=float)[:, None] * base if config.use_over else base
     category = 1 + np.argmax(fused[:, 1:], axis=1)
     confidence = fused[np.arange(len(fused)), category]
-    return fused, category, confidence
+    return category, confidence
 
 
 def nms(detections, threshold):
@@ -228,7 +228,7 @@ def predict_video(seq: ScoreSequence, network: Network, categories, config: Fusi
     overlap = np.concatenate(overlap).ravel()[live]
 
     mean_scores = mean_snippet_scores(seq, starts, ends, categories)
-    _, category, confidence = fuse_scores(probs, overlap, mean_scores, config)
+    category, confidence = fuse_scores(probs, overlap, mean_scores, config)
     candidates = [
         Detection(seq.video_id, s, e, c, f)
         for s, e, c, f in zip(starts.tolist(), ends.tolist(),

@@ -327,7 +327,7 @@ def synthetic_pipeline(tmp_path_factory):
     annotations = load_annotations(data / "test.json")
     map_full = evaluate(
         load_predictions(pred_full), annotations, thresholds=(0.5,)
-    ).results[0].mean_ap
+    )["map"]["0.50"]
     elapsed = time.perf_counter() - start
 
     assert (
@@ -344,7 +344,7 @@ def synthetic_pipeline(tmp_path_factory):
     )
     map_class = evaluate(
         load_predictions(pred_class), annotations, thresholds=(0.5,)
-    ).results[0].mean_ap
+    )["map"]["0.50"]
     return {"map_full": map_full, "map_class": map_class, "seconds": elapsed}
 
 

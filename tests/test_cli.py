@@ -456,6 +456,25 @@ class TestExitCodes:
         assert "checkpoint_every must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
+    def test_bad_train_value_fails_before_the_data_is_read(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"train.batch_size": 0}))
+        assert run("train", "--data", str(tmp_path / "nowhere"), "--out",
+                   str(tmp_path / "runs"), "--config", str(cfg)) == 1
+        assert "batch_size must be >= 1" in capsys.readouterr().err
+
+    def test_thresholds_equal_to_two_decimals_are_config_error(self, tmp_path, capsys):
+        # both would be reported under "1.00"
+        preds, ann = tmp_path / "predictions.json", tmp_path / "annotations.json"
+        preds.write_text(json.dumps(valid_predictions()))
+        ann.write_text(json.dumps(valid_annotations()))
+        out = tmp_path / "report.json"
+        assert run("eval", "--predictions", str(preds), "--annotations", str(ann),
+                   "--thresholds", "0.998,0.9985", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "0.998, 0.9985" in err
+        assert not out.exists()
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"train.speed": 99}))

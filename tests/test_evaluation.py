@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from tadkit.data import ActionInstance, AnnotationSet, Detection, VideoAnnotation
 from tadkit.errors import ConfigError, DataError
-from tadkit.evaluation import average_precision, evaluate
+from tadkit.evaluation import average_precision, evaluate, to_table
 
 from oracles import brute_average_precision
 
@@ -109,11 +109,11 @@ class TestEvaluate:
     def test_perfect_predictions_reach_map_one(self):
         report = evaluate(self.perfect_predictions(), self.annotation_set(),
                           thresholds=(0.5, 0.1))
-        assert [(r.threshold, r.mean_ap) for r in report.results] == [(0.5, 1.0), (0.1, 1.0)]
+        assert report["thresholds"] == [0.5, 0.1]
+        assert report["map"] == {"0.50": 1.0, "0.10": 1.0}
 
     def test_report_counts_and_names(self):
-        report = evaluate(self.perfect_predictions(), self.annotation_set(), (0.5,))
-        doc = report.to_dict()
+        doc = evaluate(self.perfect_predictions(), self.annotation_set(), (0.5,))
         assert doc["num_predictions"] == 3
         assert doc["num_ground_truth"] == 3
         assert set(doc["per_category"]["0.50"]) == {"jump", "swim"}
@@ -124,8 +124,8 @@ class TestEvaluate:
         anns = AnnotationSet(videos, ["a", "b"])  # category 2 has no ground truth
         preds = [det("v", 0.0, 50.0, 0.9, cat=1), det("v", 60.0, 90.0, 0.9, cat=2)]
         report = evaluate(preds, anns, (0.5,))
-        assert report.results[0].mean_ap == 1.0
-        assert [c.name for c in report.results[0].categories] == ["a"]
+        assert report["map"]["0.50"] == 1.0
+        assert list(report["per_category"]["0.50"]) == ["a"]
 
     def test_unknown_category_named_in_error(self):
         preds = [det("v", 0.0, 10.0, 0.5, cat=9)]
@@ -138,15 +138,15 @@ class TestEvaluate:
             evaluate(preds, self.annotation_set(), (0.5,))
 
     def test_json_report_is_deterministic(self):
-        a = evaluate(self.perfect_predictions(), self.annotation_set(), (0.5, 0.3)).to_json()
-        b = evaluate(self.perfect_predictions(), self.annotation_set(), (0.5, 0.3)).to_json()
+        a, b = (json.dumps(evaluate(self.perfect_predictions(), self.annotation_set(),
+                                    (0.5, 0.3)), indent=2, sort_keys=True) for _ in range(2))
         assert a == b
         json.loads(a)  # well-formed
 
     def test_table_orders_thresholds_descending(self):
         report = evaluate(self.perfect_predictions(), self.annotation_set(),
                           (0.1, 0.3, 0.5))
-        table = report.to_table(label="mine")
+        table = to_table(report, label="mine")
         lines = table.strip().splitlines()
         assert lines[0] == "mAP (%) by IoU threshold"
         assert lines[1].split() == ["config", "0.50", "0.30", "0.10"]
@@ -155,3 +155,46 @@ class TestEvaluate:
     def test_no_thresholds_rejected(self):
         with pytest.raises(ConfigError):
             evaluate([], self.annotation_set(), ())
+
+    def test_thresholds_equal_to_two_decimals_rejected(self):
+        # both would be reported under "1.00", and one would overwrite the other
+        with pytest.raises(ConfigError, match=r"\[0\.998, 0\.9985\]"):
+            evaluate(self.perfect_predictions(), self.annotation_set(), (0.5, 0.998, 0.9985))
+
+    def test_every_threshold_matches_brute_force_on_random_data(self):
+        rng = np.random.default_rng(31)
+        thresholds = (0.1, 0.3, 0.5, 0.7)
+        for trial in range(20):
+            videos = [VideoAnnotation(f"v{i}", 100, 25.0, []) for i in range(3)]
+            for _ in range(rng.integers(1, 12)):
+                start = float(rng.integers(0, 60))  # integer ends: exact IoU ties
+                videos[rng.integers(3)].instances.append(
+                    ActionInstance(start, start + float(rng.integers(2, 20)),
+                                   int(rng.integers(1, 4))))
+            video = videos[0]
+            if video.instances:  # a duplicate ground-truth segment
+                video.instances.append(video.instances[0])
+            preds = []
+            for _ in range(rng.integers(1, 40)):
+                start = float(rng.integers(0, 60))
+                preds.append(det(f"v{rng.integers(3)}", start,
+                                 start + float(rng.integers(2, 20)),
+                                 rng.choice([0.25, 0.5, 0.75]), cat=int(rng.integers(1, 4))))
+            preds.append(preds[0])  # a duplicate prediction, equal confidence
+            # IoU 1/3 with two ground truths, the first of which the next one takes
+            v, cat = int(rng.integers(3)), int(rng.integers(1, 4))
+            videos[v].instances += [ActionInstance(100.0, 110.0, cat),
+                                    ActionInstance(110.0, 120.0, cat)]
+            preds += [det(f"v{v}", 105.0, 115.0, 0.75, cat), det(f"v{v}", 100.0, 110.0, 0.5, cat)]
+            report = evaluate(preds, AnnotationSet(videos, ["a", "b", "c"]), thresholds)
+            for cat, name in enumerate(["a", "b", "c"], start=1):
+                gts = [(v.video_id, i.start, i.end)
+                       for v in videos for i in v.instances if i.category == cat]
+                if not gts:
+                    continue
+                cat_preds = [p for p in preds if p.category == cat]
+                for t in thresholds:
+                    got = report["per_category"][f"{t:.2f}"][name]["ap"]
+                    expect = brute_average_precision(cat_preds, gts, t)
+                    assert_allclose(got, expect, atol=1e-12,
+                                    err_msg=f"trial {trial} category {cat} threshold {t}")

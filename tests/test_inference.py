@@ -130,34 +130,36 @@ class TestMeanSnippetScores:
 
 class TestFuseScores:
     def fuse(self, class_scores, overlap, mean_scores, config):
-        """Fuse one candidate; returns its fused row, category, confidence."""
-        fused, category, confidence = fuse_scores(
+        """Fuse one candidate; returns its category and confidence."""
+        category, confidence = fuse_scores(
             [class_scores], [overlap], [mean_scores], config)
-        return fused[0], category[0], confidence[0]
+        return category[0], confidence[0]
 
     def test_full_fusion_crafted_values(self):
-        fused, category, confidence = self.fuse(
+        # fused row 0.5 * ([0.1, 0.6, 0.3] + [0.2, 0.2, 0.6]) = [0.15, 0.4, 0.45]
+        category, confidence = self.fuse(
             [0.1, 0.6, 0.3], 0.5, [0.2, 0.2, 0.6], FusionConfig())
-        assert_allclose(fused, [0.15, 0.4, 0.45])
         assert category == 2
         assert_allclose(confidence, 0.45)
 
     def test_background_column_never_wins_category(self):
-        _, category, _ = self.fuse([0.9, 0.05, 0.05], 1.0, np.zeros(3),
-                                   FusionConfig(use_sas=False))
+        category, _ = self.fuse([0.9, 0.05, 0.05], 1.0, np.zeros(3),
+                                FusionConfig(use_sas=False))
         assert category == 1  # argmax over action columns only
 
     def test_class_only_and_sas_only(self):
         sas = [0.2, 0.2, 0.6]
-        no_sas, _, _ = self.fuse([0.1, 0.6, 0.3], 0.5, sas,
-                                 FusionConfig(use_sas=False, use_over=False))
-        assert_allclose(no_sas, [0.1, 0.6, 0.3])
-        no_class, _, _ = self.fuse([0.1, 0.6, 0.3], 0.5, sas,
-                                   FusionConfig(use_class=False, use_over=False))
-        assert_allclose(no_class, sas)
+        no_sas = self.fuse([0.1, 0.6, 0.3], 0.5, sas,
+                           FusionConfig(use_sas=False, use_over=False))
+        assert no_sas[0] == 1
+        assert_allclose(no_sas[1], 0.6)
+        no_class = self.fuse([0.1, 0.6, 0.3], 0.5, sas,
+                             FusionConfig(use_class=False, use_over=False))
+        assert no_class[0] == 2
+        assert_allclose(no_class[1], 0.6)
 
     def test_zero_overlap_zeroes_confidence(self):
-        _, _, confidence = self.fuse([0.1, 0.6, 0.3], 0.0, [0.2, 0.2, 0.6], FusionConfig())
+        _, confidence = self.fuse([0.1, 0.6, 0.3], 0.0, [0.2, 0.2, 0.6], FusionConfig())
         assert confidence == 0.0
 
     def test_input_arrays_unchanged(self):
@@ -171,9 +173,9 @@ class TestFuseScores:
 
     def test_rows_fuse_independently_and_ties_go_to_lower_category(self):
         class_scores = np.array([[0.1, 0.6, 0.3], [0.2, 0.4, 0.4]])
-        fused, category, confidence = fuse_scores(
+        # fused rows [0.05, 0.3, 0.15] and [0.2, 0.4, 0.4]
+        category, confidence = fuse_scores(
             class_scores, [0.5, 1.0], np.zeros((2, 3)), FusionConfig(use_sas=False))
-        assert_allclose(fused, [[0.05, 0.3, 0.15], [0.2, 0.4, 0.4]])
         assert category.tolist() == [1, 1]
         assert_allclose(confidence, [0.3, 0.4])
 
@@ -365,7 +367,7 @@ def per_window_candidates(seq, net, windows, categories, config):
     live = ends > starts
     starts, ends = starts[live], ends[live]
     mean = mean_snippet_scores(seq, starts, ends, categories)
-    _, category, confidence = fuse_scores(
+    category, confidence = fuse_scores(
         np.concatenate(probs)[live], np.concatenate(overlap)[live], mean, config)
     return [Detection(seq.video_id, float(s), float(e), int(c), float(f))
             for s, e, c, f in zip(starts, ends, category, confidence)]

@@ -518,7 +518,12 @@ class TestCheckpoint:
         ({"base_arch": [{"kind": "conv", "kernel": 9, "stride": 1, "filters": None},
                         {"kind": "pool", "kernel": 2, "stride": 2, "filters": None}] * 4},
          "base_arch must be a preset name"),
-    ])
+    ], ids=["feature_dim-str", "feature_dim-float", "num_classes-bool", "feature_dim-null",
+            "center_scale-str", "delta_clamp-inf", "ratios-int", "ratios-str-entry",
+            "base_arch-int", "base_arch-int-list", "base_arch-layer-without-kernel",
+            "base_arch-layer-extra-key", "base_arch-str-kernel", "feature_dim-zero",
+            "window_length-200", "pred_kernel-1", "ratios-bool-entry",
+            "base_arch-null-filters"])
     def test_malformed_config_is_data_error(self, tmp_path, edit, message):
         net = Network(small_config(), seed=0)
         path = tmp_path / "x.ckpt"
