@@ -217,6 +217,8 @@ def load_annotations(path) -> AnnotationSet:
     categories = doc.get("categories")
     _require(isinstance(categories, list) and all(isinstance(c, str) for c in categories),
              f"{path}: 'categories' must be a list of strings")
+    repeated = sorted({c for c in categories if categories.count(c) > 1})
+    _require(not repeated, f"{path}: duplicate category names {repeated}")  # report keys
     videos_doc = doc.get("videos")
     _require(isinstance(videos_doc, list), f"{path}: 'videos' must be a list")
     videos = []

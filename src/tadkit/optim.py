@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
 from .errors import ConfigError, UsageError
-from .tensor import DTYPE, flat_parameters
+from .tensor import DTYPE, _halves, _run, flat_parameters
 
 
 def _fans(shape) -> tuple[int, int]:
@@ -39,6 +40,8 @@ def xavier_init(shape, seed, out=None) -> np.ndarray:
 
 #: elements per block of ``Adam.step``: a block's six 256 KB rows stay in cache
 BLOCK = 32768
+#: a step over at least this many blocks runs as two pieces (``tensor._run``)
+SPLIT_MIN_BLOCKS = 8
 #: Kingma & Ba's defaults: the moment decay rates, and the term added to the root
 BETA1 = 0.9
 BETA2 = 0.999
@@ -50,7 +53,9 @@ class Adam:
     ``EPSILON``; deterministic given identical inputs. ``step`` is one
     in-place pass, in blocks of ``BLOCK``, over flat parameter, gradient and
     moment vectors, in the per-parameter textbook update's operation order
-    and bit-identical to it. ``params`` must be every parameter of one flat
+    and bit-identical to it; from ``SPLIT_MIN_BLOCKS`` blocks on, the blocks
+    are two runs, one of them on ``tensor._run``'s worker thread when it
+    runs. ``params`` must be every parameter of one flat
     layout, as a ``Network`` holds them (``tensor.flat_parameters``); others
     raise UsageError."""
 
@@ -70,10 +75,17 @@ class Adam:
             if p.grad is not p._grad_view:  # assigned rather than accumulated
                 p._grad_view[...] = p.grad
         self.step_count += 1
+        blocks = range(0, self.data.size, BLOCK)
+        split = len(blocks) >= SPLIT_MIN_BLOCKS
+        _run([partial(self._update, blocks[lo:hi]) for lo, hi in _halves(len(blocks), split)],
+             split)
+
+    def _update(self, starts):
+        """The step over the blocks that begin at ``starts``."""
         bc1 = 1.0 - BETA1 ** self.step_count
         bc2 = 1.0 - BETA2 ** self.step_count
         scratch = np.empty((2, BLOCK), dtype=DTYPE)
-        for lo in range(0, self.data.size, BLOCK):
+        for lo in starts:
             p, g, m, v = (x[lo:lo + BLOCK] for x in (self.data, self.grad, *self.moments))
             a, b = scratch[:, :p.size]
             # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g

@@ -18,6 +18,9 @@ gradient arriving in the source's dtype. So a float32 graph over float64
 parameters accumulates straight into their float64 gradient views. Forward
 passes are pure functions of their inputs; parameters and gradients are
 views of two flat vectors.
+Large float32 conv passes (``SPLIT_MIN_FLOPS``) run as two pieces fixed by
+their shapes, and one goes to a worker thread (``_run``) when a second CPU
+is free and BLAS runs one thread per call; the bits are the same either way.
 ``backward()`` consumes the graph, freeing each activation and interior
 gradient once no pending step or caller needs it: it is differentiated once.
 Under ``no_grad()`` ops record no parents and keep no backward closure, so
@@ -26,9 +29,14 @@ each activation is freed as soon as the next op no longer needs it.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import re
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -479,6 +487,13 @@ TILED_MIN_KERNEL = 7
 TILED_MIN_CHANNELS = 64
 TILED_MIN_ROWS = 2048
 
+#: float32 calls of at least this many FLOPs (2 * B * T_out * K * C_in *
+#: C_out) run each pass as two pieces (``_run``): the forward pass over two
+#: halves of the windows, the backward pass as the kernel gradient and the
+#: input gradient, or as two runs of tap blocks when only the kernel needs
+#: its gradient. Float64 calls never split.
+SPLIT_MIN_FLOPS = 50_000_000
+
 
 def _tile_bases(n):
     """``(P, R, Q)`` for tiles of ``n`` inputs, float32. Per DFT bin f the
@@ -514,6 +529,58 @@ def _blocks(n, size):
     return [(i * n // parts, (i + 1) * n // parts) for i in range(parts)]
 
 
+def _halves(n, split):
+    """``range(n)`` as two runs as equal as ``_blocks`` makes them (one when
+    ``n`` is 1), or as one run without ``split``."""
+    return _blocks(n, -(-n // 2)) if split else [(0, n)]
+
+
+def _second_cpu_free():
+    """Whether a second thread has a CPU of its own: the process may run on
+    two CPUs or more, and BLAS runs one thread per call. NumPy cannot report
+    BLAS's thread count, so it is read as OpenBLAS reads it when it loads:
+    the first positive OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
+    OMP_NUM_THREADS, parsed as C's ``atoi`` would, or else one per CPU."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        number = re.match(r"\s*([-+]?\d+)", os.environ.get(name, ""))
+        if number and int(number[1]) > 0:
+            return cpus >= 2 and int(number[1]) == 1
+    return False  # BLAS already runs a thread on every CPU
+
+
+#: the one worker thread of ``_run``, or None where ``_second_cpu_free`` is
+#: not so; its thread starts when the first piece is handed to it
+_WORKER = ThreadPoolExecutor(1, thread_name_prefix="tadkit") if _second_cpu_free() else None
+
+
+def _run(pieces, split=True):
+    """Run each piece of one pass, a callable of no arguments, and return
+    their results in order once every one has ended. With ``split`` and
+    ``_WORKER`` the last piece runs on the worker, in a copy of the caller's
+    context and so under its NumPy error state, while the caller runs the
+    others in order; otherwise the caller runs them all. Which pieces a pass
+    has depends on its shapes alone, so each makes the same NumPy and BLAS
+    calls, and the same bits, wherever it runs. A piece works through NumPy
+    and private helpers only: it calls no public function and runs no
+    pieces of its own, and no two pieces write to the same elements. An
+    error is raised after every piece has ended, the first in piece order."""
+    handed = None
+    if split and _WORKER is not None and len(pieces) > 1:
+        handed = _WORKER.submit(contextvars.copy_context().run, pieces[-1])
+        pieces = pieces[:-1]
+    try:
+        results = [piece() for piece in pieces]
+    finally:
+        error = handed.exception() if handed is not None else None  # waits for the worker
+    if error is not None:
+        raise error
+    return results + ([handed.result()] if handed is not None else [])
+
+
 def _im2col(padded, kernel_size, stride, out_len, taps=None):
     """(B * out_len, k * C) rows for the taps ``lo:hi`` (default all K); row
     (b, i) holds the input rows that output i of window b sees, tap-major
@@ -525,13 +592,20 @@ def _im2col(padded, kernel_size, stride, out_len, taps=None):
     return view.transpose(0, 1, 3, 2).reshape(b * out_len, (hi - lo) * c)
 
 
-def _tile_spectra(padded, m, tiles):
+def _tile_spectra(padded, m, tiles, split):
     """(S, B * tiles, C) input slices of every tile: tile j of window b is
-    padded rows j * m to j * m + TILE - 1."""
+    padded rows j * m to j * m + TILE - 1. With ``split``, two pieces
+    (``_run``) make them for two halves of the windows."""
     b, _, c = padded.shape
     view = sliding_window_view(padded, TILE, axis=1)[:, : m * (tiles - 1) + 1 : m]
-    rows = np.ascontiguousarray(view.transpose(3, 0, 1, 2)).reshape(TILE, -1)
-    return (_TILE_P @ rows).reshape(-1, b * tiles, c)
+    spectra = np.empty((len(_TILE_P), b * tiles * c), dtype=padded.dtype)
+
+    def piece(lo, hi):  # windows lo:hi
+        rows = np.ascontiguousarray(view[lo:hi].transpose(3, 0, 1, 2)).reshape(TILE, -1)
+        np.matmul(_TILE_P, rows, out=spectra[:, lo * tiles * c:hi * tiles * c])
+
+    _run([partial(piece, lo, hi) for lo, hi in _halves(b, split)], split)
+    return spectra.reshape(-1, b * tiles, c)
 
 
 def _kernel_spectra(weights):
@@ -605,71 +679,113 @@ def conv1d(x, kernel, bias, stride=1) -> Tensor:
     tiled = (dtype == np.float32 and stride == 1 and TILED_MIN_KERNEL <= K <= TILE // 2
              and out_len >= m and min(c_in, c_out) >= TILED_MIN_CHANNELS
              and rows >= TILED_MIN_ROWS)
+    split = dtype == np.float32 and 2 * rows * K * c_in * c_out >= SPLIT_MIN_FLOPS
     if tiled:  # pad to whole tiles; outputs past out_len are cut off
         tiles = -(-out_len // m)
         right = m * (tiles - 1) + TILE - left - T
-        products = np.matmul(_tile_spectra(_pad_time(xb, left, right, 0.0), m, tiles),
-                             _prepared_spectra(kernel))
-        y = (_TILE_Q[:m] @ products.reshape(len(products), -1)).reshape(m, B, tiles, c_out)
-        out_data = y.transpose(1, 2, 0, 3).reshape(B, tiles * m, c_out)[:, :out_len]
-        del products, y
+        spectra = _tile_spectra(_pad_time(xb, left, right, 0.0), m, tiles, split)
+        kernel_spectra = _prepared_spectra(kernel)
+        out_data = np.empty((B, tiles, m, c_out), dtype=dtype)
+
+        def forward(lo, hi):  # windows lo:hi
+            products = np.matmul(spectra[:, lo * tiles:hi * tiles], kernel_spectra)
+            y = _TILE_Q[:m] @ products.reshape(len(products), -1)
+            del products
+            np.add(y.reshape(m, hi - lo, tiles, c_out).transpose(1, 2, 0, 3), bias.data,
+                   out=out_data[lo:hi])
+
+        _run([partial(forward, lo, hi) for lo, hi in _halves(B, split)], split)
+        del spectra, kernel_spectra
+        out_data = out_data.reshape(B, tiles * m, c_out)[:, :out_len]
     else:
         out_data = np.empty((B, out_len, c_out), dtype=dtype)
-        for lo, hi in _blocks(B, ROW_BLOCK // out_len):  # whole windows
-            np.matmul(_im2col(_pad_time(xb[lo:hi], left, right, 0.0), K, stride, out_len),
-                      weights, out=out_data[lo:hi].reshape(-1, c_out))
-    out_data += bias.data
+
+        def forward(first, last):  # windows first:last, in row blocks
+            for lo, hi in _blocks(last - first, ROW_BLOCK // out_len):
+                lo, hi = first + lo, first + hi
+                np.matmul(_im2col(_pad_time(xb[lo:hi], left, right, 0.0), K, stride, out_len),
+                          weights, out=out_data[lo:hi].reshape(-1, c_out))
+                out_data[lo:hi] += bias.data
+
+        _run([partial(forward, lo, hi) for lo, hi in _halves(B, split)], split)
     out_shape = (B, out_len, c_out) if batched else (out_len, c_out)
 
-    def tiled_backward(g):
+    def tiled_pieces(g):
+        """The pieces of a tiled call's backward pass: the kernel gradient's
+        and the input gradient's, each returning its gradient, for the
+        gradients needed."""
         gt = np.zeros((B, tiles * m, c_out), dtype=dtype)
         gt[:, :out_len] = g.reshape(B, out_len, c_out)
         gt = np.ascontiguousarray(gt.reshape(B, tiles, m, c_out).transpose(2, 0, 1, 3))
         dproducts = (_TILE_Q[:m].T @ gt.reshape(m, -1)).reshape(-1, B * tiles, c_out)
         del gt
+        pieces = []
         if kernel.requires_grad:
-            spectra = _tile_spectra(_pad_time(xb, left, right, 0.0), m, tiles)
-            dspectra = np.matmul(spectra.transpose(0, 2, 1), dproducts)
-            del spectra
-            kernel._accumulate((_TILE_R[:, :K].T @ dspectra.reshape(len(dspectra), -1))
-                               .reshape(K, c_in, c_out))
-            del dspectra
+
+            def kernel_piece():
+                spectra = _tile_spectra(_pad_time(xb, left, right, 0.0), m, tiles, False)
+                dspectra = np.matmul(spectra.transpose(0, 2, 1), dproducts)
+                del spectra
+                return _TILE_R[:, :K].T @ dspectra.reshape(len(dspectra), -1)
+
+            pieces.append(kernel_piece)
         if x.requires_grad:
-            dspectra = np.matmul(dproducts, _prepared_spectra(kernel).transpose(0, 2, 1))
-            if isinstance(kernel, _Cast):  # its last read: freed before earlier layers' steps
-                kernel.spectra = None
-            del dproducts
-            drows = (_TILE_P.T @ dspectra.reshape(len(dspectra), -1)).reshape(TILE, B, tiles, c_in)
-            del dspectra
-            pg = np.zeros((B, left + T + right, c_in), dtype=dtype)
-            for i in range(TILE):  # row i of tile j is padded row j * m + i
-                pg[:, i:i + m * tiles:m] += drows[i]
-            x._accumulate(pg[:, left:left + T].reshape(x.data.shape))
+
+            def input_piece():
+                dspectra = np.matmul(dproducts, _prepared_spectra(kernel).transpose(0, 2, 1))
+                if isinstance(kernel, _Cast):  # its last read: freed before earlier layers' steps
+                    kernel.spectra = None
+                drows = (_TILE_P.T @ dspectra.reshape(len(dspectra), -1)).reshape(TILE, B, tiles, c_in)
+                del dspectra
+                pg = np.zeros((B, left + T + right, c_in), dtype=dtype)
+                for i in range(TILE):  # row i of tile j is padded row j * m + i
+                    pg[:, i:i + m * tiles:m] += drows[i]
+                return pg
+
+            pieces.append(input_piece)
+        return pieces
+
+    def im2col_pieces(g):
+        """As ``tiled_pieces``, for an im2col call. When the kernel alone
+        needs its gradient, two pieces fill it, each a run of tap blocks."""
+        g = g.reshape(rows, c_out)
+        taps = _blocks(K, ROW_BLOCK * K // max(rows, 1))  # <= ROW_BLOCK * K * c_in elements
+        pieces = []
+        if kernel.requires_grad:
+            padded = _pad_time(xb, left, right, 0.0)
+            dk = np.empty((K * c_in, c_out), dtype=dtype)
+
+            def kernel_piece(first, last):  # tap blocks first:last
+                for lo, hi in taps[first:last]:
+                    np.matmul(_im2col(padded, K, stride, out_len, (lo, hi)).T, g,
+                              out=dk[lo * c_in:hi * c_in])
+                return dk
+
+            pieces += [partial(kernel_piece, lo, hi)
+                       for lo, hi in _halves(len(taps), split and not x.requires_grad)]
+        if x.requires_grad:
+
+            def input_piece():
+                pg = np.zeros((B, left + T + right, c_in), dtype=dtype)
+                for lo, hi in taps:
+                    dcols = (g @ weights[lo * c_in:hi * c_in].T).reshape(B, out_len, hi - lo, c_in)
+                    for j in range(lo, hi):  # tap j of output i reads padded row j + stride * i
+                        pg[:, j:j + stride * out_len:stride] += dcols[:, :, j - lo]
+                    del dcols  # before the next block is made
+                return pg
+
+            pieces.append(input_piece)
+        return pieces
 
     def backward_fn(g):
         if bias.requires_grad:
             bias._accumulate(g.reshape(rows, c_out).sum(axis=0))
-        if tiled:
-            tiled_backward(g)
-            return
-        g = g.reshape(rows, c_out)
-        taps = _blocks(K, ROW_BLOCK * K // max(rows, 1))  # <= ROW_BLOCK * K * c_in elements
+        grads = _run((tiled_pieces if tiled else im2col_pieces)(g), split)
         if kernel.requires_grad:
-            padded = _pad_time(xb, left, right, 0.0)
-            dk = np.empty((K * c_in, c_out), dtype=dtype)
-            for lo, hi in taps:
-                np.matmul(_im2col(padded, K, stride, out_len, (lo, hi)).T, g,
-                          out=dk[lo * c_in:hi * c_in])
-            kernel._accumulate(dk.reshape(K, c_in, c_out))
-            del padded, dk  # before the input gradient is allocated
+            kernel._accumulate(grads[0].reshape(K, c_in, c_out))
+            grads[0] = None
         if x.requires_grad:
-            pg = np.zeros((B, left + T + right, c_in), dtype=dtype)
-            for lo, hi in taps:
-                dcols = (g @ weights[lo * c_in:hi * c_in].T).reshape(B, out_len, hi - lo, c_in)
-                for j in range(lo, hi):  # tap j of output i reads padded row j + stride * i
-                    pg[:, j:j + stride * out_len:stride] += dcols[:, :, j - lo]
-                del dcols  # before the next block is made
-            x._accumulate(pg[:, left:left + T].reshape(x.data.shape))
+            x._accumulate(grads[-1][:, left:left + T].reshape(x.data.shape))
 
     return Tensor(out_data.reshape(out_shape), parents=(x, kernel, bias),
                   backward_fn=backward_fn)

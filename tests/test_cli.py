@@ -1,18 +1,21 @@
 import copy
+import importlib.util
 import json
 import re
 import shutil
 import struct
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tadkit.cli import DEFAULTS, main, parse_thresholds
-from tadkit.errors import ConfigError, DataError
-from tadkit.data import ScoreSequence
+from tadkit.errors import ConfigError, DataError, NumericError
+from tadkit.data import ScoreSequence, slide_windows
 from tadkit.io import load_annotations, load_predictions, load_sas_features, save_sas_features
 from tadkit.model import Network, NetworkConfig, load_checkpoint, save_checkpoint
+from tadkit.training import TrainConfig, train
 
 TINY = {
     "synth.train_videos": 3,
@@ -174,6 +177,18 @@ class TestMalformedJson:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    def test_duplicate_category_names_exit_2(self, tmp_path, capsys):
+        # report.json keys its per-category APs by name: one would overwrite the other
+        ann = tmp_path / "ann.json"
+        preds = tmp_path / "preds.json"
+        ann.write_text(json.dumps({**valid_annotations(), "categories": ["run", "run"]}))
+        preds.write_text(json.dumps(valid_predictions()))
+        code = run("eval", "--predictions", str(preds), "--annotations", str(ann))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "duplicate category names ['run']" in err
         assert "Traceback" not in err
 
     def test_valid_files_evaluate(self, tmp_path, capsys):
@@ -579,6 +594,38 @@ def scale_features(data, split, top=3e38):
     return manifest
 
 
+def bench_pairs_settings(name):
+    """``BITS_SETTINGS[name]`` of ``tools/bench_pairs.py``."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+    spec = importlib.util.spec_from_file_location("bench_pairs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.BITS_SETTINGS[name]
+
+
+class TestWorker:
+    """The CLI with large float32 passes split between the caller and the
+    worker thread (``tensor._run``), against the caller alone."""
+
+    def test_tiled_settings_write_the_same_bytes(self, tmp_path, worker):
+        config = tmp_path / "tiled.json"
+        config.write_text(json.dumps(bench_pairs_settings("tiled")))
+        data = tmp_path / "data"
+        assert run("synth", "--out", str(data), "--config", str(config)) == 0
+        written, handed = {}, []
+        for on in (False, True):
+            pool = worker(on)
+            out = tmp_path / ("worker" if on else "alone")
+            assert run("train", "--data", str(data), "--out", str(out), "--config", str(config)) == 0
+            handed.append(pool.handed)
+            assert run("predict", "--data", str(data), "--checkpoint", str(out / "model.ckpt"),
+                       "--out", str(out / "predictions.json"), "--config", str(config)) == 0
+            handed.append(pool.handed)
+            written[on] = [(out / name).read_bytes() for name in ("model.ckpt", "predictions.json")]
+        assert handed[:2] == [0, 0] and 0 < handed[2] < handed[3]  # train and predict split
+        assert written[True] == written[False]
+
+
 class TestFloat32Overflow:
     """A float32 overflow from inputs that are finite in float64 exits 3,
     with an error line and no NumPy warning."""
@@ -598,6 +645,42 @@ class TestFloat32Overflow:
                                         base_filters=6, anchor_filters=8), seed=7)
         for p, q in zip(load_checkpoint(runs / "model.ckpt").parameters, initial.parameters):
             assert np.array_equal(p.data, q.data), p.name
+
+    def test_overflow_in_the_workers_piece(self, tmp_path, capsys, worker):
+        # 256 base filters over 16 windows of 128: base.0 runs as two pieces,
+        # and the worker's overflows under the caller's NumPy error state
+        settings = {**TINY, "synth.min_video_length": 1800, "synth.max_video_length": 1800}
+        config, data = tmp_path / "settings.json", tmp_path / "data"
+        config.write_text(json.dumps(settings))
+        assert run("synth", "--out", str(data), "--config", str(config)) == 0
+        scale_features(data, "train")
+        manifest = scale_features(data, "test")
+        network = Network(NetworkConfig(feature_dim=6, num_classes=2, window_length=128,
+                                        base_filters=256, anchor_filters=8), seed=0)
+        network.parameters[0].data[...] = 1e3  # base.0's kernel: any score overflows
+        save_checkpoint(network, tmp_path / "model.ckpt")
+        by_id, windows = load_annotations(data / "train.json").by_id(), []
+        for vid in manifest["splits"]["train"]:
+            seq = load_sas_features(data / "features" / f"{vid}.sasf")
+            windows += slide_windows(seq, by_id[vid].instances, 128, 0.75)
+        assert len(windows) >= 16
+        pool = worker(True)
+        out = tmp_path / "predictions.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a NumPy RuntimeWarning escapes as an exception
+            with pytest.raises(NumericError, match="requires finite inputs"):
+                train(windows[:16], network,
+                      TrainConfig(epochs=1, batch_size=16, learning_rate=1e-3))
+            handed = pool.handed
+            assert handed > 0
+            code = run("predict", "--data", str(data), "--checkpoint",
+                       str(tmp_path / "model.ckpt"), "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error:") and "Warning" not in err and "Traceback" not in err
+        assert f"video {manifest['splits']['test'][0]!r}" in err.splitlines()[0]
+        assert pool.handed > handed
+        assert not out.exists()
 
     def test_predict_names_the_video(self, tiny_inputs, tmp_path, capsys):
         data = tmp_path / "data"

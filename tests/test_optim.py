@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from tadkit.errors import ConfigError, NumericError, UsageError
 from tadkit.gradcheck import check_gradients
-from tadkit.optim import BLOCK, Adam, xavier_init
+from tadkit.optim import BLOCK, SPLIT_MIN_BLOCKS, Adam, xavier_init
 from tadkit.tensor import (
     Parameter, Tensor, add, conv1d, flat_views, mul, relu, sigmoid, square, tmean,
 )
@@ -198,6 +198,30 @@ class TestFlatAdam:
             ref.step(grads)
             for p, x in zip(params, ref.values):
                 assert np.array_equal(p.data, x), p.name
+
+    def test_same_bits_with_and_without_the_worker(self, worker):
+        # enough blocks to run as two pieces, the last block a partial one
+        shapes = ((SPLIT_MIN_BLOCKS * BLOCK + 1000,), (9, 64, 64))
+        rng = np.random.default_rng(5)
+        values = [rng.normal(size=s) for s in shapes]
+        grads = [[rng.normal(scale=3.0, size=s) for s in shapes] for _ in range(3)]
+        ref = ReferenceAdam(values, learning_rate=0.01)
+        for step in grads:
+            ref.step(step)
+        for on in (False, True):
+            pool = worker(on)
+            params = flat_params(values, ["big", "kernel"])
+            opt = Adam(params, learning_rate=0.01)
+            for step in grads:
+                for p, g in zip(params, step):
+                    p.grad = g
+                opt.step()
+            for p, x in zip(params, ref.values):
+                assert np.array_equal(p.data, x), p.name
+            moments = np.concatenate([np.concatenate([m.ravel() for m in ms])
+                                      for ms in (ref.first, ref.second)])
+            assert np.array_equal(opt.moments.ravel(), moments)
+        assert pool.handed == len(grads)  # one piece of every step
 
 
 class TestCheckGradients:

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -510,6 +511,139 @@ class TestConvBlocks:
             tracemalloc.stop()
         assert forward < 40e6
         assert backward < 40e6
+
+    def test_transient_memory_of_each_float32_pass(self, worker):
+        # the same conv in float32, tiled, each pass as two pieces in flight
+        pool = worker(True)
+        rng = np.random.default_rng(0)
+        x = Parameter(rng.normal(size=(16, 256, 256)), "x")
+        kernel = Parameter(rng.normal(scale=0.01, size=(9, 256, 256)), "k")
+        bias = Parameter(np.zeros(256), "b")
+        g = rng.normal(size=(16, 256, 256)).astype(np.float32)
+        inputs = [cast(p, np.float32) for p in (x, kernel, bias)]
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            out = conv1d(*inputs)
+            forward = tracemalloc.get_traced_memory()[1] - start
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            out._backward_fn(g)
+            backward = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert pool.handed == 3  # the input's transform, the forward and the backward pass
+        assert forward < 40e6
+        assert backward < 40e6
+
+
+class TestTwoPieces:
+    """Large float32 conv passes run as two pieces fixed by their shapes
+    (``tensor._run``): the worker thread runs one, or the caller runs both,
+    and the bits are the same either way."""
+
+    @staticmethod
+    def float32_pass(x0, k0, b0, g, stride, input_gradient):
+        """Output and float64 gradients of sum(conv1d(x, k, b) * g), run in
+        float32 over float64 parameters; the input is a constant, as the
+        features are to base.0, without ``input_gradient``."""
+        x, k, b = (Parameter(v, name=n) for v, n in ((x0, "x"), (k0, "k"), (b0, "b")))
+        source = x if input_gradient else Tensor(x0)
+        out = conv1d(*(cast(p, np.float32) for p in (source, k, b)), stride=stride)
+        tsum(mul(cast(out, np.float64), g)).backward()
+        return [out.data, k.grad, b.grad] + ([x.grad] if input_gradient else [])
+
+    @pytest.mark.parametrize("shape,k,c_out,stride,input_gradient,handed", [
+        ((16, 128, 64), 9, 64, 1, True, 3),      # tiled: the input's transform is split too
+        ((8, 256, 64), 5, 64, 1, True, 2),       # im2col, stride 1
+        ((8, 512, 64), 9, 64, 2, True, 2),       # im2col, stride 2
+        ((16, 512, 12), 9, 256, 1, False, 2),    # base.0: tap blocks of the kernel gradient
+    ], ids=["tiled", "im2col", "im2col-stride-2", "kernel-gradient-only"])
+    def test_same_bits_with_and_without_the_worker(self, worker, shape, k, c_out, stride,
+                                                   input_gradient, handed):
+        b, t, c_in = shape
+        assert 2 * b * -(-t // stride) * k * c_in * c_out >= tadkit.tensor.SPLIT_MIN_FLOPS
+        rng = np.random.default_rng(list(shape))
+        x0, k0 = rng.normal(size=shape), rng.normal(scale=0.1, size=(k, c_in, c_out))
+        b0, g = rng.normal(size=c_out), rng.normal(size=(b, -(-t // stride), c_out))
+        worker(False)
+        alone = self.float32_pass(x0, k0, b0, g, stride, input_gradient)
+        pool = worker(True)
+        split = self.float32_pass(x0, k0, b0, g, stride, input_gradient)
+        assert pool.handed == handed
+        for a, s in zip(alone, split):
+            assert np.array_equal(a, s)
+
+    def test_float64_and_small_calls_run_whole(self, worker):
+        pool = worker(True)
+        rng = np.random.default_rng(1)
+        x = Parameter(rng.normal(size=(16, 256, 64)), "x")
+        kernel, bias = Parameter(rng.normal(size=(9, 64, 64)), "k"), Parameter(np.zeros(64), "b")
+        tsum(conv1d(x, kernel, bias)).backward()  # float64, above the threshold
+        small = [cast(Parameter(v, n), np.float32) for v, n in (
+            (rng.normal(size=(4, 32, 16)), "x"), (rng.normal(size=(3, 16, 16)), "k"),
+            (np.zeros(16), "b"))]
+        tsum(conv1d(*small)).backward()  # float32, far below it
+        assert pool.handed == 0
+
+    def test_pieces_run_on_two_threads(self, worker):
+        worker(True)
+        threads = []
+        tadkit.tensor._run([lambda: threads.append(threading.get_ident())] * 2)
+        assert len(set(threads)) == 2 and threading.get_ident() in threads
+        worker(False)
+        del threads[:]
+        tadkit.tensor._run([lambda: threads.append(threading.get_ident())] * 2)
+        assert threads == [threading.get_ident()] * 2
+
+    def test_an_error_is_raised_once_every_piece_has_ended(self, worker):
+        worker(True)
+        ended = threading.Event()
+
+        def fails():
+            raise ValueError("first")
+
+        def slow():
+            time.sleep(0.2)
+            ended.set()
+
+        def fails_too():
+            raise KeyError("second")
+
+        with pytest.raises(ValueError, match="first"):
+            tadkit.tensor._run([fails, slow])
+        assert ended.is_set()
+        with pytest.raises(ValueError, match="first"):  # the first in piece order
+            tadkit.tensor._run([fails, fails_too])
+        with pytest.raises(KeyError, match="second"):
+            tadkit.tensor._run([lambda: None, fails_too])
+
+    def test_worker_keeps_the_callers_error_state(self, worker):
+        worker(True)
+        seen = []
+        with np.errstate(over="ignore"):
+            tadkit.tensor._run([lambda: None, lambda: seen.append(np.geterr()["over"])])
+        assert seen == ["ignore"]
+
+    @pytest.mark.parametrize("cpus,env,free", [
+        (2, {"OPENBLAS_NUM_THREADS": "1"}, True),
+        (2, {"GOTO_NUM_THREADS": "1"}, True),
+        (2, {"OMP_NUM_THREADS": "1"}, True),
+        (2, {"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, True),  # 0: not set
+        (2, {"OPENBLAS_NUM_THREADS": " 1x"}, True),  # read as C's atoi reads it
+        (2, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),  # the first wins
+        (2, {"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "2"}, False),
+        (2, {}, False),  # BLAS runs a thread per CPU
+        (1, {"OPENBLAS_NUM_THREADS": "1"}, False),
+    ])
+    def test_second_cpu_is_free(self, monkeypatch, cpus, env, free):
+        for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        monkeypatch.setattr(tadkit.tensor.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        assert tadkit.tensor._second_cpu_free() is free
 
 
 class TestGraphLifetime:

@@ -174,7 +174,12 @@ def environment(args):
         blas = f"{blas['name']} {blas.get('version', '')}".strip()
     except Exception:  # the layout of numpy's build record varies between versions
         blas = None
-    return {"cpu": cpu, "logical_cpus": os.cpu_count(), "platform": platform.platform(),
+    try:  # the CPUs this process may run on: a second one is what the worker thread needs
+        usable = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        usable = None
+    return {"cpu": cpu, "logical_cpus": os.cpu_count(), "usable_cpus": usable,
+            "platform": platform.platform(),
             "python": platform.python_version(), "numpy": numpy.__version__, "blas": blas,
             "blas_threads": "1 (set by perfbench/run.py)", "seconds_per_run": args.seconds}
 
