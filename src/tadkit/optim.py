@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import math
-from functools import partial
 
 import numpy as np
 
 from .errors import ConfigError, UsageError
-from .tensor import DTYPE, _halves, _run, flat_parameters
+from .tensor import DTYPE, _in_halves, flat_parameters
 
 
 def _fans(shape) -> tuple[int, int]:
@@ -75,17 +74,15 @@ class Adam:
             if p.grad is not p._grad_view:  # assigned rather than accumulated
                 p._grad_view[...] = p.grad
         self.step_count += 1
-        blocks = range(0, self.data.size, BLOCK)
-        split = len(blocks) >= SPLIT_MIN_BLOCKS
-        _run([partial(self._update, blocks[lo:hi]) for lo, hi in _halves(len(blocks), split)],
-             split)
+        blocks = -(-self.data.size // BLOCK)
+        _in_halves(self._update, blocks, blocks >= SPLIT_MIN_BLOCKS)
 
-    def _update(self, starts):
-        """The step over the blocks that begin at ``starts``."""
+    def _update(self, first, last):
+        """The step over blocks ``first:last``."""
         bc1 = 1.0 - BETA1 ** self.step_count
         bc2 = 1.0 - BETA2 ** self.step_count
         scratch = np.empty((2, BLOCK), dtype=DTYPE)
-        for lo in starts:
+        for lo in range(first * BLOCK, last * BLOCK, BLOCK):
             p, g, m, v = (x[lo:lo + BLOCK] for x in (self.data, self.grad, *self.moments))
             a, b = scratch[:, :p.size]
             # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g

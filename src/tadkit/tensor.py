@@ -34,7 +34,6 @@ import math
 import os
 import re
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from functools import partial
 from typing import Sequence
@@ -489,9 +488,10 @@ TILED_MIN_ROWS = 2048
 
 #: float32 calls of at least this many FLOPs (2 * B * T_out * K * C_in *
 #: C_out) run each pass as two pieces (``_run``): the forward pass over two
-#: halves of the windows, the backward pass as the kernel gradient and the
-#: input gradient, or as two runs of tap blocks when only the kernel needs
-#: its gradient. Float64 calls never split.
+#: halves of the windows (a tiled one so makes the input's transform, then
+#: the products, then the outputs), the backward pass as the kernel gradient
+#: and the input gradient, or as two runs of tap blocks when only the kernel
+#: needs its gradient. Float64 calls never split.
 SPLIT_MIN_FLOPS = 50_000_000
 
 
@@ -529,12 +529,6 @@ def _blocks(n, size):
     return [(i * n // parts, (i + 1) * n // parts) for i in range(parts)]
 
 
-def _halves(n, split):
-    """``range(n)`` as two runs as equal as ``_blocks`` makes them (one when
-    ``n`` is 1), or as one run without ``split``."""
-    return _blocks(n, -(-n // 2)) if split else [(0, n)]
-
-
 def _second_cpu_free():
     """Whether a second thread has a CPU of its own: the process may run on
     two CPUs or more, and BLAS runs one thread per call. NumPy cannot report
@@ -552,33 +546,53 @@ def _second_cpu_free():
     return False  # BLAS already runs a thread on every CPU
 
 
-#: the one worker thread of ``_run``, or None where ``_second_cpu_free`` is
-#: not so; its thread starts when the first piece is handed to it
-_WORKER = ThreadPoolExecutor(1, thread_name_prefix="tadkit") if _second_cpu_free() else None
+#: the thread class of ``_run``'s worker, or None where ``_second_cpu_free``
+#: is not so
+_WORKER = threading.Thread if _second_cpu_free() else None
 
 
-def _run(pieces, split=True):
-    """Run each piece of one pass, a callable of no arguments, and return
-    their results in order once every one has ended. With ``split`` and
-    ``_WORKER`` the last piece runs on the worker, in a copy of the caller's
-    context and so under its NumPy error state, while the caller runs the
-    others in order; otherwise the caller runs them all. Which pieces a pass
-    has depends on its shapes alone, so each makes the same NumPy and BLAS
-    calls, and the same bits, wherever it runs. A piece works through NumPy
-    and private helpers only: it calls no public function and runs no
-    pieces of its own, and no two pieces write to the same elements. An
-    error is raised after every piece has ended, the first in piece order."""
-    handed = None
-    if split and _WORKER is not None and len(pieces) > 1:
-        handed = _WORKER.submit(contextvars.copy_context().run, pieces[-1])
-        pieces = pieces[:-1]
+def _run(pieces):
+    """Run the pieces of one pass, callables of no arguments, and return
+    once every one has ended. With ``_WORKER`` the last piece runs on a
+    worker thread started for it, in a copy of the caller's context and so
+    under its NumPy error state, while the caller runs the others in order;
+    otherwise the caller runs them all. Which pieces a pass has depends on
+    its shapes alone, so each makes the same NumPy and BLAS calls, and the
+    same bits, wherever it runs. A piece calls NumPy and private helpers
+    only, never a public function or ``_run``, and no two pieces write to
+    the same elements. An error is raised after every piece has ended, the
+    first in piece order."""
+    if _WORKER is None or len(pieces) < 2:
+        for piece in pieces:
+            piece()
+        return
+    context, errors = contextvars.copy_context(), []
+
+    def last():
+        try:
+            context.run(pieces[-1])
+        except BaseException as error:  # raised in the caller
+            errors.append(error)
+
+    worker = _WORKER(target=last, name="tadkit")
+    worker.start()
     try:
-        results = [piece() for piece in pieces]
+        for piece in pieces[:-1]:
+            piece()
     finally:
-        error = handed.exception() if handed is not None else None  # waits for the worker
-    if error is not None:
-        raise error
-    return results + ([handed.result()] if handed is not None else [])
+        worker.join()
+    if errors:
+        raise errors[0]
+
+
+def _in_halves(fn, n, split):
+    """``fn(lo, hi)`` over ``range(n)``: with ``split``, as two pieces of
+    ``_run`` over two runs as equal as ``_blocks`` makes them (one when
+    ``n`` is 1); without, as one call."""
+    if split:
+        _run([partial(fn, lo, hi) for lo, hi in _blocks(n, -(-n // 2))])
+    else:
+        fn(0, n)
 
 
 def _im2col(padded, kernel_size, stride, out_len, taps=None):
@@ -595,7 +609,7 @@ def _im2col(padded, kernel_size, stride, out_len, taps=None):
 def _tile_spectra(padded, m, tiles, split):
     """(S, B * tiles, C) input slices of every tile: tile j of window b is
     padded rows j * m to j * m + TILE - 1. With ``split``, two pieces
-    (``_run``) make them for two halves of the windows."""
+    (``_in_halves``) make them for two halves of the windows."""
     b, _, c = padded.shape
     view = sliding_window_view(padded, TILE, axis=1)[:, : m * (tiles - 1) + 1 : m]
     spectra = np.empty((len(_TILE_P), b * tiles * c), dtype=padded.dtype)
@@ -604,7 +618,7 @@ def _tile_spectra(padded, m, tiles, split):
         rows = np.ascontiguousarray(view[lo:hi].transpose(3, 0, 1, 2)).reshape(TILE, -1)
         np.matmul(_TILE_P, rows, out=spectra[:, lo * tiles * c:hi * tiles * c])
 
-    _run([partial(piece, lo, hi) for lo, hi in _halves(b, split)], split)
+    _in_halves(piece, b, split)
     return spectra.reshape(-1, b * tiles, c)
 
 
@@ -685,17 +699,24 @@ def conv1d(x, kernel, bias, stride=1) -> Tensor:
         right = m * (tiles - 1) + TILE - left - T
         spectra = _tile_spectra(_pad_time(xb, left, right, 0.0), m, tiles, split)
         kernel_spectra = _prepared_spectra(kernel)
+        products = np.empty((len(spectra), B * tiles, c_out), dtype=dtype)
+
+        def multiply(lo, hi):  # windows lo:hi
+            np.matmul(spectra[:, lo * tiles:hi * tiles], kernel_spectra,
+                      out=products[:, lo * tiles:hi * tiles])
+
+        _in_halves(multiply, B, split)
+        del spectra, kernel_spectra  # before the outputs are made
+        products = products.reshape(len(products), -1)
         out_data = np.empty((B, tiles, m, c_out), dtype=dtype)
 
-        def forward(lo, hi):  # windows lo:hi
-            products = np.matmul(spectra[:, lo * tiles:hi * tiles], kernel_spectra)
-            y = _TILE_Q[:m] @ products.reshape(len(products), -1)
-            del products
+        def transform(lo, hi):  # windows lo:hi
+            y = _TILE_Q[:m] @ products[:, lo * tiles * c_out:hi * tiles * c_out]
             np.add(y.reshape(m, hi - lo, tiles, c_out).transpose(1, 2, 0, 3), bias.data,
                    out=out_data[lo:hi])
 
-        _run([partial(forward, lo, hi) for lo, hi in _halves(B, split)], split)
-        del spectra, kernel_spectra
+        _in_halves(transform, B, split)
+        del products
         out_data = out_data.reshape(B, tiles * m, c_out)[:, :out_len]
     else:
         out_data = np.empty((B, out_len, c_out), dtype=dtype)
@@ -705,87 +726,82 @@ def conv1d(x, kernel, bias, stride=1) -> Tensor:
                 lo, hi = first + lo, first + hi
                 np.matmul(_im2col(_pad_time(xb[lo:hi], left, right, 0.0), K, stride, out_len),
                           weights, out=out_data[lo:hi].reshape(-1, c_out))
-                out_data[lo:hi] += bias.data
+            out_data[first:last] += bias.data
 
-        _run([partial(forward, lo, hi) for lo, hi in _halves(B, split)], split)
+        _in_halves(forward, B, split)
     out_shape = (B, out_len, c_out) if batched else (out_len, c_out)
 
-    def tiled_pieces(g):
-        """The pieces of a tiled call's backward pass: the kernel gradient's
-        and the input gradient's, each returning its gradient, for the
-        gradients needed."""
+    def tiled_grads(g):
+        """The tiled backward pass's two parts: the kernel gradient's and the
+        input gradient's, each accumulating its gradient."""
         gt = np.zeros((B, tiles * m, c_out), dtype=dtype)
         gt[:, :out_len] = g.reshape(B, out_len, c_out)
         gt = np.ascontiguousarray(gt.reshape(B, tiles, m, c_out).transpose(2, 0, 1, 3))
         dproducts = (_TILE_Q[:m].T @ gt.reshape(m, -1)).reshape(-1, B * tiles, c_out)
         del gt
-        pieces = []
-        if kernel.requires_grad:
 
-            def kernel_piece():
-                spectra = _tile_spectra(_pad_time(xb, left, right, 0.0), m, tiles, False)
-                dspectra = np.matmul(spectra.transpose(0, 2, 1), dproducts)
-                del spectra
-                return _TILE_R[:, :K].T @ dspectra.reshape(len(dspectra), -1)
+        def kernel_grad():
+            spectra = _tile_spectra(_pad_time(xb, left, right, 0.0), m, tiles, False)
+            dspectra = np.matmul(spectra.transpose(0, 2, 1), dproducts)
+            del spectra
+            kernel._accumulate((_TILE_R[:, :K].T @ dspectra.reshape(len(dspectra), -1))
+                               .reshape(K, c_in, c_out))
 
-            pieces.append(kernel_piece)
-        if x.requires_grad:
+        def input_grad():
+            dspectra = np.matmul(dproducts, _prepared_spectra(kernel).transpose(0, 2, 1))
+            if isinstance(kernel, _Cast):  # its last read: freed before earlier layers' steps
+                kernel.spectra = None
+            drows = (_TILE_P.T @ dspectra.reshape(len(dspectra), -1)).reshape(TILE, B, tiles, c_in)
+            del dspectra
+            pg = np.zeros((B, left + T + right, c_in), dtype=dtype)
+            for i in range(TILE):  # row i of tile j is padded row j * m + i
+                pg[:, i:i + m * tiles:m] += drows[i]
+            x._accumulate(pg[:, left:left + T].reshape(x.data.shape))
 
-            def input_piece():
-                dspectra = np.matmul(dproducts, _prepared_spectra(kernel).transpose(0, 2, 1))
-                if isinstance(kernel, _Cast):  # its last read: freed before earlier layers' steps
-                    kernel.spectra = None
-                drows = (_TILE_P.T @ dspectra.reshape(len(dspectra), -1)).reshape(TILE, B, tiles, c_in)
-                del dspectra
-                pg = np.zeros((B, left + T + right, c_in), dtype=dtype)
-                for i in range(TILE):  # row i of tile j is padded row j * m + i
-                    pg[:, i:i + m * tiles:m] += drows[i]
-                return pg
+        return kernel_grad, input_grad
 
-            pieces.append(input_piece)
-        return pieces
-
-    def im2col_pieces(g):
-        """As ``tiled_pieces``, for an im2col call. When the kernel alone
-        needs its gradient, two pieces fill it, each a run of tap blocks."""
+    def im2col_grads(g):
+        """As ``tiled_grads``, for an im2col call. When the kernel alone needs
+        its gradient (``base.0``) and the call splits, two pieces fill it,
+        each a run of its tap blocks."""
         g = g.reshape(rows, c_out)
         taps = _blocks(K, ROW_BLOCK * K // max(rows, 1))  # <= ROW_BLOCK * K * c_in elements
-        pieces = []
-        if kernel.requires_grad:
+
+        def kernel_grad():
             padded = _pad_time(xb, left, right, 0.0)
             dk = np.empty((K * c_in, c_out), dtype=dtype)
 
-            def kernel_piece(first, last):  # tap blocks first:last
+            def fill(first, last):  # tap blocks first:last
                 for lo, hi in taps[first:last]:
                     np.matmul(_im2col(padded, K, stride, out_len, (lo, hi)).T, g,
                               out=dk[lo * c_in:hi * c_in])
-                return dk
 
-            pieces += [partial(kernel_piece, lo, hi)
-                       for lo, hi in _halves(len(taps), split and not x.requires_grad)]
-        if x.requires_grad:
+            # with the input gradient it is a piece of ``_run``, which splits no further
+            _in_halves(fill, len(taps), split and not x.requires_grad)
+            kernel._accumulate(dk.reshape(K, c_in, c_out))
 
-            def input_piece():
-                pg = np.zeros((B, left + T + right, c_in), dtype=dtype)
-                for lo, hi in taps:
-                    dcols = (g @ weights[lo * c_in:hi * c_in].T).reshape(B, out_len, hi - lo, c_in)
-                    for j in range(lo, hi):  # tap j of output i reads padded row j + stride * i
-                        pg[:, j:j + stride * out_len:stride] += dcols[:, :, j - lo]
-                    del dcols  # before the next block is made
-                return pg
+        def input_grad():
+            pg = np.zeros((B, left + T + right, c_in), dtype=dtype)
+            for lo, hi in taps:
+                dcols = (g @ weights[lo * c_in:hi * c_in].T).reshape(B, out_len, hi - lo, c_in)
+                for j in range(lo, hi):  # tap j of output i reads padded row j + stride * i
+                    pg[:, j:j + stride * out_len:stride] += dcols[:, :, j - lo]
+                del dcols  # before the next block is made
+            x._accumulate(pg[:, left:left + T].reshape(x.data.shape))
 
-            pieces.append(input_piece)
-        return pieces
+        return kernel_grad, input_grad
 
     def backward_fn(g):
         if bias.requires_grad:
             bias._accumulate(g.reshape(rows, c_out).sum(axis=0))
-        grads = _run((tiled_pieces if tiled else im2col_pieces)(g), split)
-        if kernel.requires_grad:
-            kernel._accumulate(grads[0].reshape(K, c_in, c_out))
-            grads[0] = None
+        kernel_grad, input_grad = (tiled_grads if tiled else im2col_grads)(g)
+        if kernel.requires_grad and x.requires_grad and split:
+            _run([kernel_grad, input_grad])
+            return
+        if kernel.requires_grad:  # its memory is freed before the input gradient's is made
+            kernel_grad()
         if x.requires_grad:
-            x._accumulate(grads[-1][:, left:left + T].reshape(x.data.shape))
+            input_grad()
 
     return Tensor(out_data.reshape(out_shape), parents=(x, kernel, bias),
                   backward_fn=backward_fn)

@@ -1,35 +1,28 @@
 """Fixtures shared by the test modules."""
 
-from concurrent.futures import ThreadPoolExecutor
+import threading
 
 import pytest
 
 import tadkit.tensor
 
 
-class CountingWorker(ThreadPoolExecutor):
-    """``tensor._run``'s one worker thread, counting the pieces handed to it."""
-
-    def __init__(self):
-        super().__init__(1)
-        self.handed = 0
-
-    def submit(self, *args, **kwargs):
-        self.handed += 1
-        return super().submit(*args, **kwargs)
-
-
 @pytest.fixture
 def worker(monkeypatch):
     """``use(on)``: from now on in the test, every split pass hands a piece
     to a worker thread (on) or runs both in the caller (off), whatever the
-    machine and its BLAS threads. Returns the worker, which counts the
-    pieces handed to it; one worker serves the whole test."""
-    pool = CountingWorker()
+    machine and its BLAS threads. Returns the worker's thread class, whose
+    ``handed`` counts the pieces handed to it in the test."""
+
+    class Worker(threading.Thread):
+        handed = 0
+
+        def start(self):
+            Worker.handed += 1
+            super().start()
 
     def use(on):
-        monkeypatch.setattr(tadkit.tensor, "_WORKER", pool if on else None)
-        return pool
+        monkeypatch.setattr(tadkit.tensor, "_WORKER", Worker if on else None)
+        return Worker
 
-    yield use
-    pool.shutdown()
+    return use

@@ -512,9 +512,11 @@ class TestConvBlocks:
         assert forward < 40e6
         assert backward < 40e6
 
-    def test_transient_memory_of_each_float32_pass(self, worker):
+    @pytest.mark.parametrize("on", [True, False], ids=["worker", "caller-alone"])
+    def test_transient_memory_of_each_float32_pass(self, worker, on):
         # the same conv in float32, tiled, each pass as two pieces in flight
-        pool = worker(True)
+        # with the worker, one after the other without it
+        pool = worker(on)
         rng = np.random.default_rng(0)
         x = Parameter(rng.normal(size=(16, 256, 256)), "x")
         kernel = Parameter(rng.normal(scale=0.01, size=(9, 256, 256)), "k")
@@ -532,7 +534,8 @@ class TestConvBlocks:
             backward = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        assert pool.handed == 3  # the input's transform, the forward and the backward pass
+        # the input's transform, the forward's two steps and the backward pass
+        assert pool.handed == (4 if on else 0)
         assert forward < 40e6
         assert backward < 40e6
 
@@ -554,7 +557,8 @@ class TestTwoPieces:
         return [out.data, k.grad, b.grad] + ([x.grad] if input_gradient else [])
 
     @pytest.mark.parametrize("shape,k,c_out,stride,input_gradient,handed", [
-        ((16, 128, 64), 9, 64, 1, True, 3),      # tiled: the input's transform is split too
+        ((16, 128, 64), 9, 64, 1, True, 4),      # tiled: the input's transform and the
+                                                 # forward's two steps
         ((8, 256, 64), 5, 64, 1, True, 2),       # im2col, stride 1
         ((8, 512, 64), 9, 64, 2, True, 2),       # im2col, stride 2
         ((16, 512, 12), 9, 256, 1, False, 2),    # base.0: tap blocks of the kernel gradient
